@@ -33,6 +33,7 @@ no slot can exceed ``m`` injections, with zero coordination.
 
 from __future__ import annotations
 
+import math
 import random as _random
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -50,6 +51,13 @@ __all__ = [
 ]
 
 NIL = -1
+
+#: Failure budget of :func:`list_ranking_contraction`'s default round cap.
+#: In every round each live node that has a predecessor is spliced out with
+#: probability exactly 1/4 (fresh coins: predecessor heads, node tails), so
+#: after ``R`` rounds ``P(some node is left) <= (n - 1) (3/4)^R``; the
+#: default cap is the least ``R`` that pushes this bound below the budget.
+CONTRACTION_FAILURE_BUDGET = 1e-6
 
 
 def random_list(n: int, seed: SeedLike = None) -> np.ndarray:
@@ -254,10 +262,10 @@ def list_ranking_contraction(
     """Randomized contraction list ranking on ``a = min(p, m)`` simulators
     (all ``p`` when the machine is locally limited).
 
-    Returns ``(run_result, ranks)``.  Raises :class:`RuntimeError` in the
-    exponentially unlikely event that ``max_rounds`` (default
-    ``4 ceil(lg n) + 16``) rounds did not contract the whole list — rerun
-    with a different seed or more rounds.
+    Returns ``(run_result, ranks)``.  Raises :class:`RuntimeError` if
+    ``max_rounds`` rounds did not contract the whole list.  The default,
+    ``ceil(ln((n - 1) / budget) / ln(4/3))`` rounds, makes that happen with
+    probability at most ``budget`` = :data:`CONTRACTION_FAILURE_BUDGET`.
     """
     if machine.uses_shared_memory:
         raise ValueError(
@@ -270,7 +278,8 @@ def list_ranking_contraction(
     m = machine.params.m
     a = min(p, m) if m is not None else p
     if max_rounds is None:
-        max_rounds = 4 * (ilog2(max(1, n)) + 1) + 16
+        ratio = max(1, n - 1) / CONTRACTION_FAILURE_BUDGET
+        max_rounds = math.ceil(math.log(ratio) / math.log(4 / 3))
     rng = as_generator(seed)
     seeds = rng.integers(0, 2**62, size=p)
     blocks: List[Dict[int, int]] = [dict() for _ in range(p)]

@@ -1,32 +1,36 @@
-"""Preallocated superstep arenas for the fused engine path.
+"""Preallocated superstep arenas: the engine's freeze path.
 
-The legacy engine buffers each processor's operations in per-processor
-chunk lists and *gathers* them into columnar batches at the barrier
-(:func:`repro.core.engine._gather_msg_batch` and friends).  The fused path
-inverts this: every ``send``/``send_many``/``read``/``write`` appends
-directly into a machine-owned arena — a set of preallocated, growable
+Every ``send``/``send_many``/``read``/``write``/``read_many``/``write_many``
+appends directly into the run's arena set — preallocated, growable
 ``int64`` columns shared by all processors — so the barrier freeze is a
-single slice-copy per column instead of a Python-level merge pass, and no
-per-call ``MessageBatch``/``RequestBatch`` chunks (or their per-chunk
-``np.full`` source columns) are ever allocated.
+single slice-copy per column, and no per-call ``MessageBatch`` /
+``RequestBatch`` chunks (or their per-chunk ``np.full`` source columns)
+are ever allocated.
 
 Correctness contract
 --------------------
-``freeze()`` must produce batches *value-identical* to the legacy gather:
+``freeze()`` must equal a pid-major :meth:`MessageBatch.concat` /
+:meth:`RequestBatch.concat` of the issued operations as one-row chunks:
 same column values in the same row order, and the same payload-column
 representation rules (``None`` if every payload is ``None``, a single
 array when all chunks are arrays, a list otherwise — see
-:func:`repro.core.events._concat_columns`).  This holds because the engine
-advances processors sequentially in pid order within a superstep, so arena
-append order *is* the legacy gather order.  The one exception — programs
-where some processors are plain functions (executed at construction time)
-and others are generators (executed at the first barrier) — is detected via
-a pid-monotonicity check and repaired at freeze time with a stable sort by
-source pid, which restores the legacy pid-major order exactly.
+:func:`repro.core.events._concat_columns`); ``tests/test_arena_reference.py``
+checks exactly that.  It holds because the engine advances processors
+sequentially in pid order within a superstep, so append order *is*
+pid-major order.  The one exception — programs where some processors are
+plain functions (executed at construction time) and others are generators
+(executed at the first barrier) — is detected via a pid-monotonicity check
+and repaired at freeze time with a stable sort by source pid.
 
-Arenas are reused across supersteps and across runs on the same machine;
-``grows`` counts capacity growths so benchmarks can assert steady-state
-runs allocate nothing (see ``benchmarks/bench_engine_throughput.py``).
+The arena pool
+--------------
+Each :class:`~repro.core.engine.Machine` keeps a free list of arena sets
+``(sends, reads, writes)``.  A run takes one set and returns it when it
+ends, so arenas are reused across supersteps and runs, and a run nested
+inside another run's superstep on the same machine takes a set of its
+own.  ``grows`` counts capacity growths so benchmarks can assert
+steady-state runs allocate nothing (see
+``benchmarks/bench_engine_throughput.py``).
 """
 
 from __future__ import annotations
@@ -50,8 +54,7 @@ _I64 = np.int64
 
 
 def _int_addr_column(addrs: list) -> Any:
-    """Int64 array when every address is an integer, else the list itself
-    (mirrors the engine's scalar-request freezer)."""
+    """Int64 array when every address is an integer, else the list itself."""
     if addrs and all(isinstance(a, (int, np.integer)) for a in addrs):
         return np.asarray(addrs, dtype=_I64)
     return addrs
@@ -110,8 +113,7 @@ class SendArena(_ColumnArena):
         self.consecutive = np.empty(cap, dtype=bool)
         self._payload_chunks: List[Tuple[Column, int]] = []
         # scalar merge buffers: consecutive scalar sends (possibly spanning
-        # processors) collapse into one chunk, exactly like the legacy
-        # gather's (pid, count) runs
+        # processors) collapse into one chunk of (pid, count) runs
         self._run_pids: List[int] = []
         self._run_counts: List[int] = []
         self._s_dest: List[int] = []
@@ -371,7 +373,7 @@ class RequestArena(_ColumnArena):
         return batch
 
     def _reorder(self, batch: RequestBatch) -> RequestBatch:
-        """Restore legacy pid-major order after a mixed plain/generator
+        """Restore pid-major order after a mixed plain/generator
         program appended out of pid order (rare; see module docstring).
         Each handle span belongs to one processor's contiguous appends, so
         spans stay contiguous under the stable sort and only shift."""

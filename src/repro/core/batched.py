@@ -22,8 +22,8 @@ summary helpers are the very methods the sequential ``_price`` adapters
 call, and the batched kernels reuse the sequential kernels per distinct
 parameter value (see :func:`repro.core.kernels.slot_charge_stats_batched`),
 so no new floating-point path exists to drift.  The contract is gated by
-``tests/test_batched_replay.py`` in both Numba configurations, the same
-way fused≡legacy execution was gated when the fused path landed.
+``tests/test_batched_replay.py`` and ``tests/test_path_differential.py``
+in both Numba configurations.
 
 When batching engages
 ---------------------

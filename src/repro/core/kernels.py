@@ -1,7 +1,7 @@
 """Fused numeric kernels for the superstep hot loop — Numba-optional.
 
 This module is the single home of the array-in/array-out primitives the
-fused engine path and the per-model pricing functions are built on:
+engine barrier and the per-model pricing functions are built on:
 
 * :func:`penalty_charges` — the per-slot charge vector ``f_m(m_t)`` for the
   built-in penalty families, evaluated in one pass;

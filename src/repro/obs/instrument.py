@@ -12,13 +12,12 @@ Per-superstep output (tracer active):
 * one ``superstep N`` span on the ``machine`` track — model clock
   positioned, carrying the full :class:`~repro.core.events.CostBreakdown`
   plus the pricing stats (incl. ``fault_*`` counters) as args;
-* wall-clock child spans on the ``engine`` track: three phase spans
-  ``freeze`` / ``price`` / ``deliver`` on the legacy gather path
-  (``price`` covers pricing, ``deliver`` covers fault injection +
-  delivery + audit), or a single ``fused_superstep`` span covering the
-  whole barrier on the fused arena path (the phases are one pass there;
-  the superstep span's :class:`~repro.core.events.CostBreakdown` args
-  reconcile identically in both modes);
+* three contiguous wall-clock child spans on the ``engine`` track that
+  tile the superstep span exactly: ``freeze`` (the slice-copy out of the
+  run's pooled arena set into the frozen record), ``price`` (the model's
+  cost function) and ``deliver`` (fault injection, inbox delivery, read
+  resolution, write application and audit — on a compiled replay, write
+  application);
 * one span per *active* processor on its own ``proc N`` track, whose model
   duration is that processor's local bound ``max(work, sent, recvs)`` —
   the straggler view that makes imbalance visible in Perfetto.
@@ -86,7 +85,6 @@ def make_superstep_observer(
     machine,
     p: int,
     run_span: Optional[Span],
-    fused: bool = False,
     ledger=None,
 ) -> Callable:
     """Build the per-superstep callback the engine invokes at each barrier.
@@ -94,8 +92,7 @@ def make_superstep_observer(
     The callback signature is ``observe(record, t_freeze, t_price,
     t_deliver, t_end)`` where the ``t_*`` values are ``perf_counter``
     stamps at each phase boundary (freeze = record assembly start).
-    With ``fused=True`` the three phase spans collapse into one
-    ``fused_superstep`` span spanning the whole barrier.  ``ledger`` is
+    ``ledger`` is
     an optional :class:`~repro.obs.ledger.LoadLedger` recording one load
     row per superstep from the already-priced record.
     """
@@ -115,17 +112,12 @@ def make_superstep_observer(
                 model_dur=record.cost,
                 args=_superstep_args(record),
             )
-            if fused:
-                tracer.add("fused_superstep", cat="phase", track="engine",
-                           parent=ss, wall_start=t_freeze,
-                           wall_dur=t_end - t_freeze)
-            else:
-                tracer.add("freeze", cat="phase", track="engine", parent=ss,
-                           wall_start=t_freeze, wall_dur=t_price - t_freeze)
-                tracer.add("price", cat="phase", track="engine", parent=ss,
-                           wall_start=t_price, wall_dur=t_deliver - t_price)
-                tracer.add("deliver", cat="phase", track="engine", parent=ss,
-                           wall_start=t_deliver, wall_dur=t_end - t_deliver)
+            tracer.add("freeze", cat="phase", track="engine", parent=ss,
+                       wall_start=t_freeze, wall_dur=t_price - t_freeze)
+            tracer.add("price", cat="phase", track="engine", parent=ss,
+                       wall_start=t_price, wall_dur=t_deliver - t_price)
+            tracer.add("deliver", cat="phase", track="engine", parent=ss,
+                       wall_start=t_deliver, wall_dur=t_end - t_deliver)
             if emit_procs:
                 sends = record.sends_by_proc(p)
                 recvs = record.recvs_by_proc(p)

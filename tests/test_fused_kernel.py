@@ -1,18 +1,20 @@
-"""Bit-identity gates for the fused superstep kernel.
+"""Bit-identity gates for the superstep engine.
 
-The fused engine path (arena-backed freeze + kernel pricing + bincount
-delivery), the compiled-superstep replay, and the direct routing fast path
-are *optimizations*, not semantic changes: every model time, cost
-breakdown, stats dict, frozen record column and per-processor result must
-be exactly equal to the legacy gather path's.  This module is the gate —
-a full model × {plain, faulted, traced} matrix over scalar-call and
-columnar-call programs, plus the Numba-fallback and arena-reuse contracts.
+The arena-backed freeze, kernel pricing and bincount delivery, the
+compiled-superstep replay and the compiled routing path are
+*optimizations*, not semantic changes: every model time, cost breakdown,
+stats dict, frozen record column and per-processor result must equal the
+golden records in :mod:`tests.golden_records`, captured while an
+independent chunk-list gather path still existed and was asserted equal.
+This module is the gate — a full model x {plain, faulted, traced} matrix
+over scalar-call and columnar-call programs, plus the Numba-fallback,
+arena-pool and nested-run contracts.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import engine, kernels
+from repro.core import kernels
 from repro.core.compiled import CompiledProgram, compile_program
 from repro.core.costs import (
     EXPONENTIAL,
@@ -31,8 +33,9 @@ from repro.models.qsm_m import QSMm
 from repro.models.self_scheduling import SelfSchedulingBSPm
 from repro.obs import Tracer, tracing
 from repro.scheduling import unbalanced_send
-from repro.scheduling.execute import execute_schedule
+from repro.scheduling.execute import _flit_plan, _routing_program, execute_schedule
 from repro.workloads import uniform_random_relation
+from tests.golden_records import GOLDEN, golden_of, norm as _norm
 
 P = 8
 SPAN = P * 6
@@ -88,22 +91,6 @@ def _qsm_program(ctx, p):
     return (_norm(handle.values), _norm(scalar.value))
 
 
-def _norm(value):
-    """Canonical nested-python form of a result for cross-path equality
-    (unwraps ``CorruptedPayload`` markers, flattens arrays)."""
-    from repro.faults.plan import CorruptedPayload
-
-    if isinstance(value, CorruptedPayload):
-        return ("corrupted", _norm(value.original))
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_norm(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def _column_equal(a, b):
     if a is None or b is None:
         return a is None and b is None
@@ -142,60 +129,63 @@ def _assert_results_identical(res_a, res_b):
         assert _norm(a) == _norm(b)
 
 
-def _run_both(model, *, faulted=False, traced=False):
-    """Run the model's workload program on the fused and legacy paths."""
+def _run_case(model, *, faulted=False, traced=False):
+    """Run the model's workload program; returns the result (with the
+    tracer and final shared memory attached)."""
     program = _qsm_program if model in QSM_MODELS else _msg_program
-    out = []
-    for fused in (True, False):
-        mach = _machine(model)
-        if faulted:
-            mach.inject_faults(
-                FaultPlan(
-                    seed=7,
-                    drop_rate=0.2,
-                    duplicate_rate=0.15,
-                    reorder_rate=0.2,
-                    corrupt_rate=0.15,
-                )
+    mach = _machine(model)
+    if faulted:
+        mach.inject_faults(
+            FaultPlan(
+                seed=7,
+                drop_rate=0.2,
+                duplicate_rate=0.15,
+                reorder_rate=0.2,
+                corrupt_rate=0.15,
             )
-        if traced:
-            with tracing(Tracer()) as tracer:
-                res = mach.run(program, args=(P,), fused=fused)
-            res._tracer = tracer
-        else:
-            res = mach.run(program, args=(P,), fused=fused)
-        res._memory = dict(mach.shared_memory) if mach.uses_shared_memory else None
-        out.append(res)
-    return out
+        )
+    if traced:
+        with tracing(Tracer()) as tracer:
+            res = mach.run(program, args=(P,))
+        res._tracer = tracer
+    else:
+        res = mach.run(program, args=(P,))
+    res._memory = dict(mach.shared_memory) if mach.uses_shared_memory else None
+    return res
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
 @pytest.mark.parametrize("variant", ["plain", "faulted", "traced"])
 def test_fused_matches_legacy(model, variant):
-    res_f, res_l = _run_both(
+    """Every model x variant reproduces the golden record captured when the
+    arena path was still asserted equal to the chunk-list gather path."""
+    res = _run_case(
         model, faulted=(variant == "faulted"), traced=(variant == "traced")
     )
-    _assert_records_identical(res_f, res_l)
-    _assert_results_identical(res_f, res_l)
-    if res_f._memory is not None:
-        assert res_f._memory == res_l._memory
+    golden = GOLDEN[("faulted" if variant == "faulted" else "plain", model.__name__)]
+    assert golden_of(res, res._memory) == golden
     if variant == "traced":
-        phases_f = {s.name for s in res_f._tracer.find(cat="phase")}
-        phases_l = {s.name for s in res_l._tracer.find(cat="phase")}
-        assert phases_f == {"fused_superstep"}
-        assert phases_l == {"freeze", "price", "deliver"}
+        phases = res._tracer.find(cat="phase")
+        assert {s.name for s in phases} == {"freeze", "price", "deliver"}
 
 
 @pytest.mark.parametrize(
-    "penalty",
-    [LINEAR, EXPONENTIAL, PolynomialPenalty(degree=3.0)],
+    "family,penalty",
+    [
+        ("linear", LINEAR),
+        ("exponential", EXPONENTIAL),
+        ("polynomial", PolynomialPenalty(degree=3.0)),
+    ],
     ids=["linear", "exponential", "polynomial"],
 )
-def test_penalty_families_identical_across_paths(penalty):
-    res_f = _machine(BSPm, penalty=penalty).run(_msg_program, args=(P,), fused=True)
-    res_l = _machine(BSPm, penalty=penalty).run(_msg_program, args=(P,), fused=False)
-    _assert_records_identical(res_f, res_l)
-    _assert_results_identical(res_f, res_l)
+def test_penalty_families_identical_across_paths(family, penalty):
+    """Trampoline and compiled replay both reproduce the golden record of
+    each penalty family."""
+    golden = GOLDEN[("penalty", family)]
+    res = _machine(BSPm, penalty=penalty).run(_msg_program, args=(P,))
+    assert golden_of(res) == golden
+    compiled = compile_program(_machine(BSPm, penalty=penalty), _msg_program, args=(P,))
+    assert golden_of(compiled.replay(_machine(BSPm, penalty=penalty))) == golden
 
 
 def test_capacity_penalty_still_raises_on_fused_path():
@@ -206,21 +196,51 @@ def test_capacity_penalty_still_raises_on_fused_path():
 
     mach = BSPm(MachineParams(p=P, L=1.0, m=4), penalty=CapacityPenalty())
     with pytest.raises(OverflowError):
-        mach.run(overload, args=(P,), fused=True)
+        mach.run(overload, args=(P,))
 
 
 def test_direct_routing_matches_trampoline():
+    """``execute_schedule``'s compiled routing equals the routing program
+    run on the trampoline."""
     rel = uniform_random_relation(32, 4_000, seed=2)
     sched = unbalanced_send(rel, 8, 0.2, seed=3)
     res_d = execute_schedule(BSPm(MachineParams(p=32, m=8, L=1)), sched)
-    previous = engine.fused_default()
-    engine.set_fused_default(False)
-    try:
-        res_t = execute_schedule(BSPm(MachineParams(p=32, m=8, L=1)), sched)
-    finally:
-        engine.set_fused_default(previous)
+    res_t = BSPm(MachineParams(p=32, m=8, L=1)).run(
+        _routing_program, per_proc_args=_flit_plan(sched)
+    )
     _assert_records_identical(res_d, res_t)
     _assert_results_identical(res_d, res_t)
+
+
+def _nesting_program(ctx, p, nest, inner):
+    """Two supersteps of sends; with ``nest``, processor 2 runs
+    ``_msg_program`` to completion on the same machine between its first
+    and second send of superstep 0."""
+    ctx.send((ctx.pid + 1) % p, payload=ctx.pid)
+    if nest and ctx.pid == 2:
+        inner.append(ctx._machine.run(_msg_program, args=(p,)))
+    ctx.send_many([(ctx.pid + 2) % p, (ctx.pid + 3) % p], sizes=[2, 1])
+    yield
+    got = _norm(ctx.receive().payloads)
+    ctx.send((ctx.pid + 5) % p, payload=("late", ctx.pid))
+    yield
+    return got, _norm(ctx.receive().payloads)
+
+
+def test_nested_run_matches_sequential_runs():
+    """A run started from inside a superstep on a busy machine takes its
+    own arenas: both results equal the two runs done one after the other."""
+    mach = _machine(BSPm)
+    inner = []
+    outer = mach.run(_nesting_program, args=(P, True, inner))
+    (nested,) = inner
+    seq = _machine(BSPm)
+    outer_seq = seq.run(_nesting_program, args=(P, False, []))
+    nested_seq = seq.run(_msg_program, args=(P,))
+    assert golden_of(outer) == golden_of(outer_seq)
+    assert golden_of(nested) == golden_of(nested_seq) == GOLDEN[("plain", "BSPm")]
+    # the nested run took a second arena set; both are back in the pool
+    assert len(mach._arena_pool) == 2
 
 
 def test_compiled_replay_reproduces_recording():
@@ -296,22 +316,13 @@ def test_numba_escape_hatch_disables_jit(monkeypatch):
 
 
 def test_arena_reuse_no_growth_on_rerun():
-    """Steady-state reruns on one machine never regrow the arenas."""
+    """Steady-state reruns on one machine reuse its pooled arena set and
+    never regrow it."""
     mach = _machine(BSPm)
-    mach.run(_msg_program, args=(P,), fused=True)
-    assert mach._arenas is not None
-    grows = [arena.grows for arena in mach._arenas]
+    mach.run(_msg_program, args=(P,))
+    (arenas,) = mach._arena_pool
+    grows = [arena.grows for arena in arenas]
     for _ in range(3):
-        mach.run(_msg_program, args=(P,), fused=True)
-    assert [arena.grows for arena in mach._arenas] == grows
-
-
-def test_fused_default_toggle_and_env(monkeypatch):
-    previous = engine.fused_default()
-    try:
-        engine.set_fused_default(False)
-        assert engine.fused_default() is False
-        engine.set_fused_default(True)
-        assert engine.fused_default() is True
-    finally:
-        engine.set_fused_default(previous)
+        mach.run(_msg_program, args=(P,))
+    assert mach._arena_pool == [arenas]
+    assert [arena.grows for arena in arenas] == grows

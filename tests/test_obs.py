@@ -29,6 +29,7 @@ import pytest
 
 from repro import BSPg, BSPm, MachineParams, QSMg, QSMm, SelfSchedulingBSPm
 from repro.algorithms import broadcast, one_to_all, summation
+from repro.core.compiled import compile_program
 from repro.faults import FaultPlan
 from repro.faults.chaos import chaos_trial
 from repro.obs import (
@@ -179,26 +180,40 @@ class TestSpanReconciliation:
                 assert span.args[comp] == getattr(b, comp)
             assert span.args["dominant"] == b.dominant()
 
-    def test_engine_phases_are_walled(self):
-        # fused barrier (the default): one fused_superstep phase span;
-        # legacy gather path: the three walled freeze/price/deliver spans
-        from repro.core.engine import set_fused_default
-
-        old = set_fused_default(True)
-        try:
-            tr = Tracer()
-            _routed_run(tracer=tr)
-            phases = tr.find(cat="phase")
-            assert {s.name for s in phases} == {"fused_superstep"}
-            set_fused_default(False)
-            tr_legacy = Tracer()
-            _routed_run(tracer=tr_legacy)
-            legacy_phases = tr_legacy.find(cat="phase")
-            assert {s.name for s in legacy_phases} == {"freeze", "price", "deliver"}
-        finally:
-            set_fused_default(old)
-        for s in list(phases) + list(legacy_phases):
+    @staticmethod
+    def _assert_phases_tile_supersteps(tr):
+        # every superstep gets freeze/price/deliver wall-clock spans that
+        # tile its own wall interval exactly
+        phases = tr.find(cat="phase")
+        assert {s.name for s in phases} == {"freeze", "price", "deliver"}
+        for s in phases:
             assert s.model_dur is None and s.wall_dur >= 0.0
+        assert tr.find(cat="superstep")
+        for ss in tr.find(cat="superstep"):
+            kids = [s for s in phases if s.parent == ss.index]
+            assert [s.name for s in kids] == ["freeze", "price", "deliver"]
+            assert kids[0].wall_start == ss.wall_start
+            for a, b in zip(kids, kids[1:]):
+                assert b.wall_start == pytest.approx(a.wall_start + a.wall_dur, abs=1e-9)
+            end = kids[-1].wall_start + kids[-1].wall_dur
+            assert end == pytest.approx(ss.wall_start + ss.wall_dur, abs=1e-9)
+
+    def test_engine_phases_are_walled(self):
+        tr = Tracer()
+        _routed_run(tracer=tr)
+        self._assert_phases_tile_supersteps(tr)
+
+    def test_compiled_replay_phases_are_walled(self):
+        def ring(ctx):
+            for r in range(3):
+                ctx.send((ctx.pid + 1) % ctx.nprocs, payload=r)
+                yield
+
+        compiled = compile_program(_machine(p=8, m=4, L=2.0), ring)
+        tr = Tracer()
+        with tracing(tr):
+            compiled.replay(_machine(p=8, m=4, L=2.0))
+        self._assert_phases_tile_supersteps(tr)
 
     def test_proc_spans_record_stragglers(self):
         tr = Tracer()
