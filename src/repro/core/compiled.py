@@ -9,7 +9,10 @@ batches.  For such *straight-line* programs the coroutine trampoline in
 records the superstep schedule once and replays it as a batch-at-a-time
 loop (freeze is free, pricing and write application are the only work),
 skipping generator dispatch, per-call validation and arena assembly
-entirely.
+entirely.  That loop (``CompiledProgram._replay_frames``) is the only
+one: :meth:`CompiledProgram.replay` runs it for one machine, pricing each
+frame through :meth:`~repro.core.engine.Machine._price_batch` at B=1, and
+:func:`repro.core.batched.replay_batch` runs it for B machines at once.
 
 Which programs qualify
 ----------------------
@@ -48,7 +51,7 @@ reaction to faulted inboxes.
 from __future__ import annotations
 
 import time as _time
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -134,18 +137,7 @@ class CompiledProgram:
         processors returned.  Replaying on the recording machine
         reproduces its ``RunResult`` bit-identically.
         """
-        if machine.uses_shared_memory != self.uses_shared_memory:
-            raise ValueError(
-                "compiled program was recorded on a "
-                f"{'shared-memory' if self.uses_shared_memory else 'message-passing'}"
-                f" machine; {type(machine).__name__} is not one"
-            )
-        if machine.params.p < self.p:
-            raise ValueError(
-                f"machine has {machine.params.p} processors, recorded "
-                f"program used {self.p}"
-            )
-        _check_no_injector(machine, "replay")
+        self._check_machine(machine)
         tracer = _active_tracer()
         mreg = _active_metrics()
         observe = run_span = None
@@ -162,28 +154,7 @@ class CompiledProgram:
             observe = make_superstep_observer(tracer, mreg, machine, self.p, run_span)
         records: List[SuperstepRecord] = []
         try:
-            for index, (work, msg_b, read_b, write_b) in enumerate(self.frames):
-                # phase stamps as on the trampoline: freeze (the frame is
-                # already frozen) = t0..t1, price = t1..t2, deliver (write
-                # application) = t2..end
-                t0 = _time.perf_counter() if observe is not None else 0.0
-                record = SuperstepRecord(
-                    index=index,
-                    work=work,
-                    msg_batch=msg_b,
-                    read_batch=read_b,
-                    write_batch=write_b,
-                )
-                t1 = _time.perf_counter() if observe is not None else 0.0
-                cost, breakdown, stats = machine._price(record)
-                record.cost = cost
-                record.breakdown = breakdown
-                record.stats = stats
-                records.append(record)
-                t2 = _time.perf_counter() if observe is not None else 0.0
-                self._apply_writes(machine, write_b)
-                if observe is not None:
-                    observe(record, t0, t1, t2, _time.perf_counter())
+            self._replay_frames([machine], [records], observe)
         finally:
             if run_span is not None:
                 tracer.end(
@@ -195,10 +166,62 @@ class CompiledProgram:
             params=machine.params, records=records, results=list(self.results)
         )
 
+    def _check_machine(self, machine: Machine) -> None:
+        """Refuse a machine this recording cannot be replayed on."""
+        if machine.uses_shared_memory != self.uses_shared_memory:
+            raise ValueError(
+                "compiled program was recorded on a "
+                f"{'shared-memory' if self.uses_shared_memory else 'message-passing'}"
+                f" machine; {type(machine).__name__} is not one"
+            )
+        if machine.params.p < self.p:
+            raise ValueError(
+                f"machine has {machine.params.p} processors, recorded "
+                f"program used {self.p}"
+            )
+        _check_no_injector(machine, "replay")
+
+    def _replay_frames(
+        self,
+        machines: Sequence[Machine],
+        records: Sequence[List[SuperstepRecord]],
+        observe: Optional[Callable] = None,
+    ) -> None:
+        """The frame loop of :meth:`replay` and
+        :func:`~repro.core.batched.replay_batch`: price every frame once
+        for all ``machines`` (one model class) and append machine ``b``'s
+        records to ``records[b]``.  ``observe`` (one machine only) gets
+        the trampoline's phase stamps: freeze (the frame is already
+        frozen) = t0..t1, price = t1..t2, deliver (write application) =
+        t2..end."""
+        price = machines[0]._price_batch
+        for index, (work, msg_b, read_b, write_b) in enumerate(self.frames):
+            t0 = _time.perf_counter() if observe is not None else 0.0
+            # every machine's record aliases the same frozen batches, as
+            # separate replays of one compilation do
+            frame = [
+                SuperstepRecord(
+                    index=index,
+                    work=work,
+                    msg_batch=msg_b,
+                    read_batch=read_b,
+                    write_batch=write_b,
+                )
+                for _ in machines
+            ]
+            t1 = _time.perf_counter() if observe is not None else 0.0
+            for record, priced, out in zip(frame, price(machines, frame[0]), records):
+                record.cost, record.breakdown, record.stats = priced
+                out.append(record)
+            t2 = _time.perf_counter() if observe is not None else 0.0
+            if write_b.n:
+                for mach in machines:
+                    self._apply_writes(mach, write_b)
+            if observe is not None:
+                observe(frame[0], t0, t1, t2, _time.perf_counter())
+
     @staticmethod
     def _apply_writes(machine: Machine, wb: RequestBatch) -> None:
-        if not wb.n:
-            return
         mem = machine.shared_memory
         if isinstance(mem, DenseSharedMemory) and isinstance(wb.addr, np.ndarray):
             mem.put(wb.addr, wb.value)

@@ -98,6 +98,10 @@ __all__ = [
 
 _I64 = np.int64
 
+#: One machine's price for one superstep: ``(cost, breakdown, stats)``.
+PriceResult = Tuple[float, CostBreakdown, Dict[str, float]]
+
+
 class ModelViolation(Exception):
     """The program broke a rule of the machine model (e.g. two injections by
     one processor in the same time slot of a globally-limited machine, or
@@ -778,8 +782,9 @@ class Machine:
     """Abstract bulk-synchronous machine.
 
     Concrete machines (BSP(g), BSP(m), QSM(g), QSM(m), self-scheduling
-    BSP(m)) implement :meth:`_price` and declare whether they expose shared
-    memory.  The engine loop lives here.
+    BSP(m), ...) implement :meth:`_price_batch`, or :meth:`_price` behind
+    its default, and declare whether they expose shared memory.  The
+    engine loop lives here.
     """
 
     #: True for QSM machines, False for BSP machines.
@@ -824,8 +829,25 @@ class Machine:
     # ------------------------------------------------------------------
     # Hooks for concrete machines
     # ------------------------------------------------------------------
-    def _price(self, record: SuperstepRecord) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        """Return ``(cost, breakdown, stats)`` for a frozen superstep."""
+    @staticmethod
+    def _price_batch(
+        machines: Sequence["Machine"], record: SuperstepRecord
+    ) -> List[PriceResult]:
+        """Price one frozen superstep on each of ``machines`` (all of one
+        model class): one ``(cost, breakdown, stats)`` per machine.
+
+        The only pricing entry point: the barrier, compiled replay and the
+        fault audit call it with one machine, batched replay with many.
+        The five paper models bind a column pricer from
+        :mod:`repro.models.pricing`; this default applies each machine's
+        own :meth:`_price`.
+        """
+        return [mach._price(record) for mach in machines]
+
+    def _price(self, record: SuperstepRecord) -> PriceResult:
+        """Per-machine pricing formula behind the default
+        :meth:`_price_batch`; a model that binds its own batch pricer
+        never calls it."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -1149,7 +1171,7 @@ class Machine:
             still_running = any(alive)
             if not record.is_empty or still_running or first:
                 t1 = _time.perf_counter() if observe is not None else 0.0
-                cost, breakdown, stats = self._price(record)
+                cost, breakdown, stats = self._price_batch([self], record)[0]
                 record.cost = cost
                 record.breakdown = breakdown
                 record.stats = stats

@@ -82,7 +82,7 @@ def audit_record(
                 f"claims {stats['fault_delivered']:.0f}",
             )
     # -- cost reconciliation ------------------------------------------------
-    cost2, breakdown2, stats2 = machine._price(record)
+    cost2, breakdown2, stats2 = machine._price_batch([machine], record)[0]
     if cost2 != record.cost:
         _fail(
             record,

@@ -170,7 +170,7 @@ def _valid_arrivals(received) -> Tuple[np.ndarray, int]:
 def _idle_superstep_cost(machine: Machine, p: int) -> float:
     """Model time of one empty (backoff) superstep on this machine."""
     empty = SuperstepRecord(index=0, work=[0.0] * p)
-    cost, _, _ = machine._price(empty)
+    cost, _, _ = machine._price_batch([machine], empty)[0]
     return cost
 
 

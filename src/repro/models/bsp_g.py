@@ -13,12 +13,8 @@ that "no special scheduling is needed for locally-limited models".
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.core.engine import Machine
-from repro.core.events import SuperstepRecord
-from repro.core.params import MachineParams
-from repro.models.pricing import price_bsp_g
+from repro.models.pricing import price_bsp_g_batch
 
 __all__ = ["BSPg"]
 
@@ -28,15 +24,4 @@ class BSPg(Machine):
 
     uses_shared_memory = False
     slot_limited = False
-
-    def __init__(self, params: MachineParams) -> None:
-        super().__init__(params)
-
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        p = self.params.p
-        w = max(record.work) if record.work else 0.0
-        s_max, r_max = self._max_per_proc_sends_recvs(record, p)
-        h = max(s_max, r_max)
-        return price_bsp_g(w, h, record.total_flits, self.params.g, self.params.L)
+    _price_batch = staticmethod(price_bsp_g_batch)

@@ -21,15 +21,10 @@ is unknown.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-import numpy as np
-
 from repro.core.costs import EXPONENTIAL, PenaltyFunction
 from repro.core.engine import Machine
-from repro.core.events import SuperstepRecord
 from repro.core.params import MachineParams
-from repro.models.pricing import price_bsp_m
+from repro.models.pricing import price_bsp_m_batch
 
 __all__ = ["BSPm"]
 
@@ -48,6 +43,7 @@ class BSPm(Machine):
 
     uses_shared_memory = False
     slot_limited = True
+    _price_batch = staticmethod(price_bsp_m_batch)
 
     def __init__(
         self, params: MachineParams, penalty: PenaltyFunction = EXPONENTIAL
@@ -55,16 +51,3 @@ class BSPm(Machine):
         params.require_m()
         super().__init__(params)
         self.penalty = penalty
-
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        p = self.params.p
-        m = self.params.require_m()
-        w = max(record.work) if record.work else 0.0
-        s_max, r_max = self._max_per_proc_sends_recvs(record, p)
-        h = max(s_max, r_max)
-        counts = np.bincount(self._flit_slots(record))
-        return price_bsp_m(
-            w, h, record.total_flits, counts, m, self.penalty, self.params.L
-        )

@@ -1,169 +1,95 @@
-"""Array-in/array-out pricing functions for the five cost models.
+"""Column pricers of the five paper models: one superstep, B machines.
 
-Each model's :meth:`~repro.core.engine.Machine._price` is a thin adapter:
-it extracts the superstep's scalar/array summary (max work, per-processor
-``h``, the slot-injection histogram, QSM contention) from the
-:class:`~repro.core.events.SuperstepRecord` and delegates to the function
-here for that model.  The functions take plain floats and NumPy arrays and
-return ``(cost, CostBreakdown, stats)`` — no record, machine or engine
-types — so they can be called directly by the sweep engine, tested against
-hand-built histograms, and share the (optionally Numba-JIT'd) penalty
-kernels in :mod:`repro.core.kernels`.
+A paper model prices a superstep from a parameter-free summary of its
+record — max work ``w``, the per-processor ``h``, the slot-injection
+histogram, QSM contention ``kappa`` — under the machine's parameters
+``(g, m, L, f_m)``.  Each function here takes a list of machines of one
+model class and one frozen :class:`~repro.core.events.SuperstepRecord`,
+extracts that summary once (enforcing the model's rules on the way, e.g.
+one injection per processor per slot), and returns one ``(cost,
+CostBreakdown, stats)`` triple per machine.  The models bind these as
+their :meth:`~repro.core.engine.Machine._price_batch`, the one pricing
+entry point: the trampoline barrier, compiled replay and the fault audit
+price at B=1, :func:`repro.core.batched.replay_batch` at B.
 
-Bit-identity contract: every float reduction runs through ``np.sum`` (via
-:func:`repro.core.kernels.slot_charge_stats`), and the stats dicts preserve
-the historical key insertion order, so model times, breakdowns and stats
-are exactly those of the pre-refactor inline code.
+Bit-identity contract: triple ``b`` depends only on machine ``b`` — the
+histogram charge reduces through
+:func:`repro.core.kernels.slot_charge_stats_batched`, whose row ``b``
+equals its B=1 call — and the stats dicts keep their historical key
+insertion order, so model times, breakdowns and stats are those pinned
+by ``tests/golden_records.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.events import CostBreakdown
-from repro.core.kernels import slot_charge_stats, slot_charge_stats_batched
+from repro.core.engine import Machine, PriceResult
+from repro.core.events import CostBreakdown, SuperstepRecord
+from repro.core.kernels import slot_charge_stats_batched
 
 __all__ = [
-    "price_bsp_g",
     "price_bsp_g_batch",
-    "price_bsp_m",
     "price_bsp_m_batch",
-    "price_qsm_g",
     "price_qsm_g_batch",
-    "price_qsm_m",
     "price_qsm_m_batch",
-    "price_self_scheduling",
     "price_self_scheduling_batch",
 ]
 
-_PriceResult = Tuple[float, CostBreakdown, Dict[str, float]]
+
+def _work_max(record: SuperstepRecord) -> float:
+    return max(record.work) if record.work else 0.0
 
 
-def price_bsp_g(w: float, h: float, n: int, g: float, L: float) -> _PriceResult:
-    """BSP(g): ``T = max(w, g*h, L)`` (paper Section 2)."""
-    breakdown = CostBreakdown(work=w, local_band=g * h, latency=L)
-    stats = {"h": float(h), "w": w, "n": float(n)}
-    return breakdown.total(), breakdown, stats
-
-
-def price_bsp_m(
-    w: float, h: float, n: int, counts: np.ndarray, m: int, penalty, L: float
-) -> _PriceResult:
-    """BSP(m): ``T = max(w, h, c_m, L)`` with ``c_m`` priced from the
-    slot-injection histogram ``counts`` by ``penalty`` (paper Section 2)."""
-    comm, c_m_paper, span, overloaded, max_load = slot_charge_stats(
-        counts, m, penalty
-    )
-    breakdown = CostBreakdown(
-        work=w, local_band=float(h), global_band=comm, latency=L
-    )
-    stats = {
-        "h": float(h),
-        "w": w,
-        "n": float(n),
-        "c_m": comm,
-        "c_m_paper": c_m_paper,
-        "span": span,
-        "overloaded_slots": float(overloaded),
-        "max_slot_load": float(max_load),
-    }
-    return breakdown.total(), breakdown, stats
-
-
-def price_qsm_g(
-    w: float, h: float, kappa: float, n: int, g: float
-) -> _PriceResult:
-    """QSM(g): ``T = max(w, g*h, kappa)`` (paper Section 2)."""
-    breakdown = CostBreakdown(work=w, local_band=g * h, contention=float(kappa))
-    stats = {"h": float(h), "w": w, "kappa": float(kappa), "n": float(n)}
-    return breakdown.total(), breakdown, stats
-
-
-def price_qsm_m(
-    w: float, h: float, kappa: float, n: int, counts: np.ndarray, m: int, penalty
-) -> _PriceResult:
-    """QSM(m): ``T = max(w, h, kappa, c_m)`` with ``c_m`` priced from the
-    request-slot histogram ``counts`` (paper Section 2)."""
-    comm, c_m_paper, span, overloaded, _ = slot_charge_stats(counts, m, penalty)
-    breakdown = CostBreakdown(
-        work=w,
-        local_band=float(h),
-        global_band=comm,
-        contention=float(kappa),
-    )
-    stats = {
-        "h": float(h),
-        "w": w,
-        "kappa": float(kappa),
-        "c_m": comm,
-        "c_m_paper": c_m_paper,
-        "span": span,
-        "overloaded_slots": float(overloaded),
-        "n": float(n),
-    }
-    return breakdown.total(), breakdown, stats
-
-
-def price_self_scheduling(
-    w: float, h: float, n: int, m: int, L: float
-) -> _PriceResult:
-    """Self-scheduling BSP(m): ``T = max(w, h, n/m, L)`` — the simplified
-    metric whose executability Unbalanced-Send certifies (Theorem 6.2)."""
-    breakdown = CostBreakdown(
-        work=w, local_band=float(h), global_band=n / m, latency=L
-    )
-    stats = {"h": float(h), "w": w, "n": float(n)}
-    return breakdown.total(), breakdown, stats
-
-
-# ----------------------------------------------------------------------
-# Batched variants — one superstep structure, B parameter points
-# ----------------------------------------------------------------------
-#
-# The batched replay engine (repro.core.batched) summarizes each recorded
-# superstep's structure once (w, h, histogram, kappa) and prices it under B
-# parameter points in one call.  These functions take the scalar structure
-# summary plus per-trial parameter columns and return the per-trial
-# (cost, breakdown, stats) triples.  Bit-identity contract: element b of
-# the returned list equals the scalar function applied to trial b's
-# parameters — the histogram charge matrix reduces per-trial through
-# slot_charge_stats_batched (same kernel calls, same np.sum order), and
-# the breakdowns/stats are built with the exact scalar-path arithmetic and
-# historical key insertion order.
+def _msg_h(machine: Machine, record: SuperstepRecord) -> int:
+    s_max, r_max = machine._max_per_proc_sends_recvs(record, machine.params.p)
+    return max(s_max, r_max)
 
 
 def price_bsp_g_batch(
-    w: float, h: float, n: int, g_col: Sequence[float], L_col: Sequence[float]
-) -> List[_PriceResult]:
-    """Batched :func:`price_bsp_g` over parameter columns ``(g, L)``."""
-    return [price_bsp_g(w, h, n, g, L) for g, L in zip(g_col, L_col)]
+    machines: Sequence[Machine], record: SuperstepRecord
+) -> List[PriceResult]:
+    """BSP(g): ``T = max(w, g*h, L)`` (paper Section 2)."""
+    w = _work_max(record)
+    h = _msg_h(machines[0], record)
+    out: List[PriceResult] = []
+    for mach in machines:
+        breakdown = CostBreakdown(
+            work=w, local_band=mach.params.g * h, latency=mach.params.L
+        )
+        stats = {"h": float(h), "w": w, "n": float(record.total_flits)}
+        out.append((breakdown.total(), breakdown, stats))
+    return out
 
 
 def price_bsp_m_batch(
-    w: float,
-    h: float,
-    n: int,
-    counts: np.ndarray,
-    m_col: Sequence[int],
-    penalties: Sequence,
-    L_col: Sequence[float],
-) -> List[_PriceResult]:
-    """Batched :func:`price_bsp_m`: the histogram is priced for all trials
-    in one :func:`slot_charge_stats_batched` pass."""
+    machines: Sequence[Machine], record: SuperstepRecord
+) -> List[PriceResult]:
+    """BSP(m): ``T = max(w, h, c_m, L)`` with ``c_m`` priced from the
+    slot-injection histogram by each machine's penalty (paper Section 2);
+    one :func:`slot_charge_stats_batched` pass prices every machine."""
+    w = _work_max(record)
+    h = _msg_h(machines[0], record)
+    counts = np.bincount(machines[0]._flit_slots(record))
     comm, c_m_paper, span, overloaded, max_load = slot_charge_stats_batched(
-        counts, m_col, penalties
+        counts,
+        [mach.params.require_m() for mach in machines],
+        [mach.penalty for mach in machines],
     )
-    out: List[_PriceResult] = []
-    for b, L in enumerate(L_col):
+    out: List[PriceResult] = []
+    for b, mach in enumerate(machines):
         breakdown = CostBreakdown(
-            work=w, local_band=float(h), global_band=float(comm[b]), latency=L
+            work=w,
+            local_band=float(h),
+            global_band=float(comm[b]),
+            latency=mach.params.L,
         )
         stats = {
             "h": float(h),
             "w": w,
-            "n": float(n),
+            "n": float(record.total_flits),
             "c_m": float(comm[b]),
             "c_m_paper": float(c_m_paper[b]),
             "span": span,
@@ -175,27 +101,44 @@ def price_bsp_m_batch(
 
 
 def price_qsm_g_batch(
-    w: float, h: float, kappa: float, n: int, g_col: Sequence[float]
-) -> List[_PriceResult]:
-    """Batched :func:`price_qsm_g` over a ``g`` column."""
-    return [price_qsm_g(w, h, kappa, n, g) for g in g_col]
+    machines: Sequence[Machine], record: SuperstepRecord
+) -> List[PriceResult]:
+    """QSM(g): ``T = max(w, g*h, kappa)`` (paper Section 2)."""
+    w = _work_max(record)
+    h = machines[0]._qsm_h(record)
+    kappa = machines[0]._qsm_contention(record)
+    out: List[PriceResult] = []
+    for mach in machines:
+        breakdown = CostBreakdown(
+            work=w, local_band=mach.params.g * h, contention=float(kappa)
+        )
+        stats = {
+            "h": float(h),
+            "w": w,
+            "kappa": float(kappa),
+            "n": float(record.n_reads + record.n_writes),
+        }
+        out.append((breakdown.total(), breakdown, stats))
+    return out
 
 
 def price_qsm_m_batch(
-    w: float,
-    h: float,
-    kappa: float,
-    n: int,
-    counts: np.ndarray,
-    m_col: Sequence[int],
-    penalties: Sequence,
-) -> List[_PriceResult]:
-    """Batched :func:`price_qsm_m`: one histogram pass for all trials."""
+    machines: Sequence[Machine], record: SuperstepRecord
+) -> List[PriceResult]:
+    """QSM(m): ``T = max(w, h, kappa, c_m)`` with ``c_m`` priced from the
+    request-slot histogram (paper Section 2); one histogram pass prices
+    every machine."""
+    w = _work_max(record)
+    h = machines[0]._qsm_h(record)
+    kappa = machines[0]._qsm_contention(record)
+    counts = np.bincount(machines[0]._request_slots(record))
     comm, c_m_paper, span, overloaded, _ = slot_charge_stats_batched(
-        counts, m_col, penalties
+        counts,
+        [mach.params.require_m() for mach in machines],
+        [mach.penalty for mach in machines],
     )
-    out: List[_PriceResult] = []
-    for b in range(len(m_col)):
+    out: List[PriceResult] = []
+    for b in range(len(machines)):
         breakdown = CostBreakdown(
             work=w,
             local_band=float(h),
@@ -210,14 +153,28 @@ def price_qsm_m_batch(
             "c_m_paper": float(c_m_paper[b]),
             "span": span,
             "overloaded_slots": float(overloaded[b]),
-            "n": float(n),
+            "n": float(record.n_reads + record.n_writes),
         }
         out.append((breakdown.total(), breakdown, stats))
     return out
 
 
 def price_self_scheduling_batch(
-    w: float, h: float, n: int, m_col: Sequence[int], L_col: Sequence[float]
-) -> List[_PriceResult]:
-    """Batched :func:`price_self_scheduling` over ``(m, L)`` columns."""
-    return [price_self_scheduling(w, h, n, m, L) for m, L in zip(m_col, L_col)]
+    machines: Sequence[Machine], record: SuperstepRecord
+) -> List[PriceResult]:
+    """Self-scheduling BSP(m): ``T = max(w, h, n/m, L)`` — the simplified
+    metric whose executability Unbalanced-Send certifies (Theorem 6.2)."""
+    w = _work_max(record)
+    h = _msg_h(machines[0], record)
+    n = record.total_flits
+    out: List[PriceResult] = []
+    for mach in machines:
+        breakdown = CostBreakdown(
+            work=w,
+            local_band=float(h),
+            global_band=n / mach.params.require_m(),
+            latency=mach.params.L,
+        )
+        stats = {"h": float(h), "w": w, "n": float(n)}
+        out.append((breakdown.total(), breakdown, stats))
+    return out

@@ -22,12 +22,8 @@ Model rules enforced by the engine:
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.core.engine import Machine
-from repro.core.events import SuperstepRecord
-from repro.core.params import MachineParams
-from repro.models.pricing import price_qsm_g
+from repro.models.pricing import price_qsm_g_batch
 
 __all__ = ["QSMg"]
 
@@ -37,16 +33,4 @@ class QSMg(Machine):
 
     uses_shared_memory = True
     slot_limited = False
-
-    def __init__(self, params: MachineParams) -> None:
-        super().__init__(params)
-
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        w = max(record.work) if record.work else 0.0
-        h = self._qsm_h(record)
-        kappa = self._qsm_contention(record)
-        return price_qsm_g(
-            w, h, kappa, record.n_reads + record.n_writes, self.params.g
-        )
+    _price_batch = staticmethod(price_qsm_g_batch)

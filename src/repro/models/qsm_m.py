@@ -14,15 +14,10 @@ inside the schedule span as elapsed time; the literal paper charge is in
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
-import numpy as np
-
 from repro.core.costs import EXPONENTIAL, PenaltyFunction
 from repro.core.engine import Machine
-from repro.core.events import SuperstepRecord
 from repro.core.params import MachineParams
-from repro.models.pricing import price_qsm_m
+from repro.models.pricing import price_qsm_m_batch
 
 __all__ = ["QSMm"]
 
@@ -32,6 +27,7 @@ class QSMm(Machine):
 
     uses_shared_memory = True
     slot_limited = True
+    _price_batch = staticmethod(price_qsm_m_batch)
 
     def __init__(
         self, params: MachineParams, penalty: PenaltyFunction = EXPONENTIAL
@@ -39,15 +35,3 @@ class QSMm(Machine):
         params.require_m()
         super().__init__(params)
         self.penalty = penalty
-
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        m = self.params.require_m()
-        w = max(record.work) if record.work else 0.0
-        h = self._qsm_h(record)
-        kappa = self._qsm_contention(record)
-        counts = np.bincount(self._request_slots(record))
-        return price_qsm_m(
-            w, h, kappa, record.n_reads + record.n_writes, counts, m, self.penalty
-        )

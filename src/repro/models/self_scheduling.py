@@ -15,12 +15,9 @@ factor empirically.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from repro.core.engine import Machine
-from repro.core.events import SuperstepRecord
 from repro.core.params import MachineParams
-from repro.models.pricing import price_self_scheduling
+from repro.models.pricing import price_self_scheduling_batch
 
 __all__ = ["SelfSchedulingBSPm"]
 
@@ -30,19 +27,8 @@ class SelfSchedulingBSPm(Machine):
 
     uses_shared_memory = False
     slot_limited = False  # slots are ignored, so no per-slot rule to enforce
+    _price_batch = staticmethod(price_self_scheduling_batch)
 
     def __init__(self, params: MachineParams) -> None:
         params.require_m()
         super().__init__(params)
-
-    def _price(
-        self, record: SuperstepRecord
-    ) -> Tuple[float, CostBreakdown, Dict[str, float]]:
-        p = self.params.p
-        m = self.params.require_m()
-        w = max(record.work) if record.work else 0.0
-        s_max, r_max = self._max_per_proc_sends_recvs(record, p)
-        h = max(s_max, r_max)
-        return price_self_scheduling(
-            w, h, record.total_flits, m, self.params.L
-        )

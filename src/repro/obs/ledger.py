@@ -142,7 +142,7 @@ class LoadLedger:
     def record(self, record, p: int) -> None:
         """Append one row from an already-priced superstep record.
 
-        Called from the barrier observer after ``_price`` populated
+        Called from the barrier observer after ``_price_batch`` populated
         ``record.cost`` / ``record.breakdown`` / ``record.stats``; all
         values are copied out (arena-backed batches are reused between
         supersteps, so nothing here may alias them).

@@ -34,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.kernels import stable_group_order
 from repro.scheduling.schedule import Schedule, expand_per_flit
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive
@@ -61,13 +62,10 @@ def per_proc_flit_ranks(flit_src: np.ndarray, p: int) -> np.ndarray:
     if flit_src.size == 0:
         return np.zeros(0, dtype=np.int64)
     counts = np.bincount(flit_src, minlength=p)
-    group_starts = np.cumsum(counts) - counts
-    order = np.argsort(flit_src, kind="stable")
-    ranks_sorted = np.arange(flit_src.size, dtype=np.int64) - np.repeat(
-        group_starts[counts > 0], counts[counts > 0]
-    )
-    ranks = np.empty_like(ranks_sorted)
-    ranks[order] = ranks_sorted
+    starts = np.cumsum(counts) - counts
+    order = stable_group_order(flit_src, counts.size - 1)
+    ranks = np.empty(flit_src.size, dtype=np.int64)
+    ranks[order] = np.arange(flit_src.size, dtype=np.int64) - starts[flit_src[order]]
     return ranks
 
 

@@ -1,9 +1,10 @@
-"""Shared fixtures for the test suite."""
+"""Shared fixtures and Hypothesis profiles for the test suite."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import (
     BSPg,
@@ -13,6 +14,15 @@ from repro import (
     QSMm,
     SelfSchedulingBSPm,
 )
+
+# Tier-1 draws the same examples on every run and keeps no example
+# database, so its verdict never depends on the run or the checkout.
+# ``pytest --hypothesis-profile=explore`` draws fresh random examples (and
+# more of them where a test does not pin ``max_examples``) to look for new
+# counterexamples; it prints a reproduction blob for each failure.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("explore", derandomize=False, max_examples=200, print_blob=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -7,8 +7,8 @@ landed:
   for all five paper models (costs, breakdowns, stats dicts incl. key
   order, shared-memory state), plus its validation/fallback edges;
 * ``execute_schedule_batch`` / ``compile_schedule`` ≡ ``execute_schedule``;
-* the batched kernels (``penalty_charges_batched`` /
-  ``slot_charge_stats_batched``) row-for-row against their 1-D twins;
+* ``slot_charge_stats_batched``: row ``b`` of a B-batch equals the B=1
+  call (the call every sequential superstep makes);
 * ``stable_group_order`` against ``np.argsort(kind="stable")`` including
   the int64-overflow fallback boundary, and the arena freeze paths that
   now route through it;
@@ -39,16 +39,10 @@ from repro import (
     LINEAR,
 )
 from repro.core.arena import RequestArena, SendArena
-from repro.core.batched import replay_batch, supports_batched_replay
+from repro.core.batched import replay_batch
 from repro.core.compiled import CompiledProgram, compile_program
 from repro.core.kernels import (
     _COMBINED_SORT_LIMIT,
-    KIND_EXPONENTIAL,
-    KIND_LINEAR,
-    KIND_POLYNOMIAL,
-    penalty_charges,
-    penalty_charges_batched,
-    slot_charge_stats,
     slot_charge_stats_batched,
     stable_group_order,
 )
@@ -86,41 +80,45 @@ def _assert_runs_identical(seq, bat):
 
 
 # ----------------------------------------------------------------------
-# kernels: batched rows vs their 1-D twins
+# kernels: row b of a B-batch is the B=1 call
 # ----------------------------------------------------------------------
 class TestBatchedKernels:
     COUNTS = np.array([0, 1, 3, 7, 2, 9, 4, 0, 5], dtype=np.int64)
 
-    @pytest.mark.parametrize(
-        "kind,param",
-        [(KIND_LINEAR, 0.0), (KIND_EXPONENTIAL, 0.0), (KIND_POLYNOMIAL, 2.5)],
-    )
-    def test_penalty_charges_batched_rows(self, kind, param):
-        m_col = [2, 4, 2, 8, 3]
-        out = penalty_charges_batched(self.COUNTS, m_col, kind, param)
-        assert out.shape == (len(m_col), self.COUNTS.size)
-        for b, m in enumerate(m_col):
-            expect = penalty_charges(self.COUNTS, m, kind, param)
-            assert np.array_equal(out[b], expect)
+    @staticmethod
+    def _rows_match_singletons(counts, m_col, pens):
+        comm, c_m_paper, span, overloaded, max_load = slot_charge_stats_batched(
+            counts, m_col, pens
+        )
+        assert comm.shape == c_m_paper.shape == overloaded.shape == (len(pens),)
+        for b, (m, pen) in enumerate(zip(m_col, pens)):
+            e_comm, e_paper, e_span, e_over, e_max = slot_charge_stats_batched(
+                counts, [m], [pen]
+            )
+            assert comm[b] == e_comm[0]
+            assert c_m_paper[b] == e_paper[0]
+            assert span == e_span
+            assert overloaded[b] == e_over[0]
+            assert max_load == e_max
+        return comm, c_m_paper, span, overloaded, max_load
 
     def test_slot_charge_stats_batched_mixed_penalties(self):
         pens = [LINEAR, EXPONENTIAL, PolynomialPenalty(3.0), _SqrtPenalty(), LINEAR]
         m_col = [2, 4, 3, 2, 2]
-        comm, c_m_paper, span, overloaded, max_load = slot_charge_stats_batched(
+        comm, c_m_paper, span, overloaded, max_load = self._rows_match_singletons(
             self.COUNTS, m_col, pens
         )
-        for b, (m, pen) in enumerate(zip(m_col, pens)):
-            e_comm, e_paper, e_span, e_over, e_max = slot_charge_stats(
-                self.COUNTS, m, pen
-            )
-            assert comm[b] == e_comm
-            assert c_m_paper[b] == e_paper
-            assert span == e_span
-            assert int(overloaded[b]) == e_over
-            assert max_load == e_max
+        # and the B=1 call is the paper's charge: idle slots elapse one
+        # unit, f_m(0) = 0, LINEAR is max(1, m_t/m) above the band
+        charges = np.asarray(LINEAR(self.COUNTS, 2), dtype=np.float64)
+        assert comm[0] == np.sum(np.maximum(charges, 1.0))
+        assert c_m_paper[0] == np.sum(charges)
+        assert span == float(self.COUNTS.size)
+        assert overloaded[0] == np.sum(self.COUNTS > 2)
+        assert max_load == 9
 
     def test_slot_charge_stats_batched_empty(self):
-        comm, c_m_paper, span, overloaded, max_load = slot_charge_stats_batched(
+        comm, c_m_paper, span, overloaded, max_load = self._rows_match_singletons(
             np.array([], dtype=np.int64), [2, 4], [LINEAR, EXPONENTIAL]
         )
         assert np.array_equal(comm, [0.0, 0.0])
@@ -243,7 +241,6 @@ class TestReplayBatchMessagePassing:
                 (m, L) for m in (8, 16, 32, 64) for L in (1.0, 4.0, 16.0)
             )
         ]
-        assert supports_batched_replay(machines[0])
         batched = replay_batch(compiled, machines)
         for mach, bat in zip(machines, batched):
             _assert_runs_identical(compiled.replay(mach), bat)

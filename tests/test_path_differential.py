@@ -1,13 +1,16 @@
 """Cross-path differential test: every execution path, one answer.
 
 Hypothesis draws random straight-line SPMD programs (sends never depend on
-what arrives) and runs each on all five models — with the linear,
+what arrives) and runs each on all five paper models — with the linear,
 exponential and polynomial penalty families on the two models that take a
-penalty — through every surviving superstep path:
+penalty — and on LogP, PRAM, PRAM(m) and TwoLevelBSP, which price through
+the per-machine default of ``Machine._price_batch``, through every
+surviving superstep path:
 
 * the coroutine trampoline (:meth:`Machine.run`);
 * :meth:`CompiledProgram.record` / :meth:`CompiledProgram.replay`;
-* :func:`replay_batch` with B=1 and with B=3 (three different ``L``);
+* :func:`replay_batch` with B=1 and with B=3 (three different ``L``,
+  ``g`` and ``m``);
 
 and the h-relation routing program through
 ``compile_schedule(...).replay`` versus the trampoline running
@@ -25,15 +28,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
+    PRAM,
     BSPg,
     BSPm,
     EXPONENTIAL,
     LINEAR,
+    LogP,
     MachineParams,
+    ModelViolation,
     PolynomialPenalty,
+    PRAMm,
     QSMg,
     QSMm,
     SelfSchedulingBSPm,
+    TwoLevelBSP,
 )
 from repro.core.batched import replay_batch
 from repro.core.compiled import CompiledProgram
@@ -59,8 +67,13 @@ CASES = [
     (QSMg, None),
     *[(BSPm, name) for name in PENALTIES],
     *[(QSMm, name) for name in PENALTIES],
+    (LogP, None),
+    (TwoLevelBSP, None),
+    (PRAM, None),
 ]
-LATENCIES = (1.0, 5.0, 16.0)
+#: the B=3 batch's parameter points ``(L, g, m)``: every parameter a
+#: pricer reads differs between machines
+POINTS = ((1.0, 2.0, 3), (5.0, 1.5, 2), (16.0, 4.0, 5))
 
 # ----------------------------------------------------------------------
 # program spec: per superstep, per processor, a list of operations
@@ -78,13 +91,20 @@ _send_many_op = st.tuples(
     st.sampled_from(["none", "list", "array"]),
     st.booleans(),  # explicit sizes column
 )
-_write_op = st.tuples(st.just("write"), st.integers(0, 7), st.booleans(), _slot)
-_read_op = st.tuples(st.just("read"), st.integers(0, 7), st.booleans(), _slot)
-_many_op = st.tuples(
-    st.sampled_from(["read_many", "write_many"]),
-    st.lists(st.tuples(st.integers(0, 7), _slot), min_size=1, max_size=4),
-    st.booleans(),  # integer addresses (else tuple addresses)
-)
+
+
+def _memory_ops(as_int):
+    """Shared-memory ops; ``as_int`` draws whether addresses are integers
+    (else tuple addresses)."""
+    return st.one_of(
+        st.tuples(st.just("write"), st.integers(0, 7), as_int, _slot),
+        st.tuples(st.just("read"), st.integers(0, 7), as_int, _slot),
+        st.tuples(
+            st.sampled_from(["read_many", "write_many"]),
+            st.lists(st.tuples(st.integers(0, 7), _slot), min_size=1, max_size=4),
+            as_int,
+        ),
+    )
 
 
 def _spec(ops):
@@ -98,7 +118,9 @@ def _spec(ops):
 
 
 MSG_SPECS = _spec(st.one_of(_send_op, _send_many_op))
-QSM_SPECS = _spec(st.one_of(_write_op, _read_op, _many_op))
+QSM_SPECS = _spec(_memory_ops(st.booleans()))
+#: PRAM(m) shares only integer cells ``0 .. m-1`` (addresses reach 15)
+PRAM_M_SPECS = _spec(_memory_ops(st.just(True)))
 
 
 def _slots(cursor, entries):
@@ -186,11 +208,22 @@ def _program(ctx, p, steps, work):
     return results
 
 
+def _rom_program(ctx, rom, p, steps, work):
+    """:meth:`PRAMm.run` passes the ROM first; these programs ignore it."""
+    return (yield from _program(ctx, p, steps, work))
+
+
 # ----------------------------------------------------------------------
-def _machine(cls, penalty, p, L=2.0):
-    params = MachineParams(p=p, g=2.0, L=L, m=3)
+def _machine(cls, penalty, p, point=POINTS[0]):
+    L, g, m = point
+    # PRAM(m) cells 0..15 must all be valid: its m stays 16
+    params = MachineParams(p=p, g=g, L=L, m=16 if cls is PRAMm else m)
     if penalty is not None:
         return cls(params, penalty=PENALTIES[penalty])
+    if cls is LogP:
+        # the capacity rule would refuse most random programs at L=1; it
+        # is exercised on every path by test_logp_capacity_raises_on_every_path
+        return cls(params, enforce_capacity=False)
     return cls(params)
 
 
@@ -206,23 +239,24 @@ def _fingerprint(res, mach):
 def _check_all_paths(cls, penalty, spec):
     p, steps, work = spec
     args = (p, steps, work)
+    program = _rom_program if cls is PRAMm else _program
     reference = []
-    for L in LATENCIES:
-        mach = _machine(cls, penalty, p, L)
-        reference.append(_fingerprint(mach.run(_program, args=args), mach))
+    for point in POINTS:
+        mach = _machine(cls, penalty, p, point)
+        reference.append(_fingerprint(mach.run(program, args=args), mach))
 
-    rec_mach = _machine(cls, penalty, p, LATENCIES[0])
-    compiled, recorded = CompiledProgram.record(rec_mach, _program, args=args)
+    rec_mach = _machine(cls, penalty, p)
+    compiled, recorded = CompiledProgram.record(rec_mach, program, args=args)
     assert _fingerprint(recorded, rec_mach) == reference[0]
 
-    mach = _machine(cls, penalty, p, LATENCIES[0])
+    mach = _machine(cls, penalty, p)
     assert _fingerprint(compiled.replay(mach), mach) == reference[0]
 
-    mach = _machine(cls, penalty, p, LATENCIES[0])
+    mach = _machine(cls, penalty, p)
     (single,) = replay_batch(compiled, [mach])
     assert _fingerprint(single, mach) == reference[0]
 
-    machines = [_machine(cls, penalty, p, L) for L in LATENCIES]
+    machines = [_machine(cls, penalty, p, point) for point in POINTS]
     batch = replay_batch(compiled, machines)
     assert [_fingerprint(r, m) for r, m in zip(batch, machines)] == reference
 
@@ -245,6 +279,57 @@ def test_message_passing_paths_agree(cls, penalty, spec):
 @given(spec=QSM_SPECS)
 def test_shared_memory_paths_agree(cls, penalty, spec):
     _check_all_paths(cls, penalty, spec)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spec=PRAM_M_SPECS)
+def test_pram_m_paths_agree(spec):
+    _check_all_paths(PRAMm, None, spec)
+
+
+def _write_cell(ctx, rom, addr):
+    ctx.write(addr, ctx.pid)
+    yield
+
+
+def test_pram_m_address_rule_raises_on_every_path():
+    """A recording whose cell 8 is valid on PRAM(m=16) is refused by
+    PRAM(m=4)'s address check on every path, batched included."""
+    compiled = CompiledProgram.record(
+        PRAMm(MachineParams(p=2, m=16)), _write_cell, args=(8,)
+    )[0]
+
+    def small():
+        return PRAMm(MachineParams(p=2, m=4))
+
+    with pytest.raises(ModelViolation, match="PRAM\\(m\\) shared address"):
+        small().run(_write_cell, args=(8,))
+    with pytest.raises(ModelViolation, match="PRAM\\(m\\) shared address"):
+        compiled.replay(small())
+    for batch in ([small()], [PRAMm(MachineParams(p=2, m=16)), small()]):
+        with pytest.raises(ModelViolation, match="PRAM\\(m\\) shared address"):
+            replay_batch(compiled, batch)
+
+
+def _flood(ctx):
+    if ctx.pid:
+        ctx.send(0, ctx.pid, slot=0)
+    yield
+
+
+def test_logp_capacity_raises_on_every_path():
+    """Three messages into processor 0 in one slot exceed LogP's capacity
+    ceil(L/g) = 1: refused on the trampoline, on replay and in a batch."""
+    params = MachineParams(p=4, g=2.0, L=1.0)
+    compiled = CompiledProgram.record(
+        LogP(params, enforce_capacity=False), _flood
+    )[0]
+    with pytest.raises(ModelViolation, match="LOGP capacity"):
+        LogP(params).run(_flood)
+    with pytest.raises(ModelViolation, match="LOGP capacity"):
+        compiled.replay(LogP(params))
+    with pytest.raises(ModelViolation, match="LOGP capacity"):
+        replay_batch(compiled, [LogP(params, enforce_capacity=False), LogP(params)])
 
 
 @pytest.mark.parametrize("penalty", list(PENALTIES))
