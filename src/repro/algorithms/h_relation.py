@@ -23,6 +23,7 @@ conversion.
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Sequence, Tuple
 
 import numpy as np
@@ -40,6 +41,10 @@ __all__ = [
     "bsp_lower_bound_from_crcw_randomized",
     "bsp_lower_bound_from_crcw_deterministic",
 ]
+
+#: Failure budget of :func:`realize_h_relation_crcw_randomized`'s default
+#: round cap (the derivation is in that function's docstring).
+CRCW_DELIVERY_FAILURE_BUDGET = 1e-6
 
 
 def _msgs_by_source(rel: HRelation) -> List[List[Tuple[int, Any]]]:
@@ -294,10 +299,18 @@ def realize_h_relation_crcw_randomized(
     Each message's team processor darts into its destination's size-``c·h``
     bucket until it wins a cell; destinations then scan their buckets.
     Raises :class:`RuntimeError` if a message fails to land within
-    ``max_rounds`` (exponentially unlikely for ``c >= 2``).
-    """
-    import math as _math
+    ``max_rounds``.
 
+    The default cap follows from a failure budget ``δ`` =
+    :data:`CRCW_DELIVERY_FAILURE_BUDGET`.  At most ``h - 1`` other
+    messages share a destination, and each of them holds or contests at
+    most one of its ``c·h`` cells in a round, so a dart misses with
+    probability ``<= (h - 1)/(c·h) < 1/c`` whatever happened before.  A
+    message is thus still undelivered after ``R`` rounds with probability
+    ``< c^-R``, and by the union bound ``P(some message fails) <=
+    n·c^-R``.  The cap ``R = ceil(ln(max(n, 1)/δ) / ln c)`` is the least
+    ``R`` that pushes this below ``δ``.
+    """
     from repro.util.rng import as_generator
 
     if np.any(rel.length != 1):
@@ -310,7 +323,8 @@ def realize_h_relation_crcw_randomized(
     h = max(x_bar, rel.y_bar, 1)
     bucket = c * h
     if max_rounds is None:
-        max_rounds = 4 * (int(_math.log2(max(2, rel.n + 1))) + 1) + 8
+        ratio = max(rel.n, 1) / CRCW_DELIVERY_FAILURE_BUDGET
+        max_rounds = math.ceil(math.log(ratio) / math.log(c))
 
     msgs_of = _msgs_by_source(rel)
     rng = as_generator(seed)

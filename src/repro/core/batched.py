@@ -31,10 +31,12 @@ Validity and observation
 ------------------------
 All machines must be instances of the *same* concrete model class,
 recorded and replayed on the same memory kind, with enough processors and
-no fault injector — the same validity rules as sequential replay.  When a
-tracer or metrics registry is active the call runs one observed
-``replay`` per machine (observability hooks are per-run, so a fused pass
-cannot emit faithful per-trial spans).
+no fault injector — the same validity rules as sequential replay.  An
+observed call runs the same fused pass: afterwards it emits each
+machine's run span, superstep spans, metrics and load-ledger rows as one
+contiguous block, machine by machine, from that machine's records and the
+pass's phase stamps — what B sequential replays would emit — so every
+``RunResult.ledger`` view is contiguous.
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ from typing import List, Sequence
 
 from repro.core.compiled import CompiledProgram
 from repro.core.engine import Machine, RunResult
-from repro.core.events import SuperstepRecord
-from repro.obs.metrics import active_metrics as _active_metrics
-from repro.obs.tracer import active_tracer as _active_tracer
 
 __all__ = ["replay_batch"]
 
@@ -72,11 +71,4 @@ def replay_batch(
                 f"{cls.__name__} and {type(mach).__name__}"
             )
         compiled._check_machine(mach)
-    if _active_tracer() is not None or _active_metrics() is not None:
-        return [compiled.replay(mach) for mach in machines]
-    records: List[List[SuperstepRecord]] = [[] for _ in machines]
-    compiled._replay_frames(machines, records)
-    return [
-        RunResult(params=mach.params, records=recs, results=list(compiled.results))
-        for mach, recs in zip(machines, records)
-    ]
+    return compiled._replay_frames(machines)

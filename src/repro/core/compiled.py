@@ -13,13 +13,16 @@ entirely.  That loop (``CompiledProgram._replay_frames``) is the only
 one: :meth:`CompiledProgram.replay` runs it for one machine, pricing each
 frame through :meth:`~repro.core.engine.Machine._price_batch` at B=1, and
 :func:`repro.core.batched.replay_batch` runs it for B machines at once.
+Observation never changes that loop: its spans, metrics and ledger rows
+are emitted after the pass (see ``_replay_frames``).
 
 Which programs qualify
 ----------------------
 * the h-relation routing program of :mod:`repro.scheduling.execute` (one
   ``send_many`` per processor, one barrier — ``execute_schedule`` replays
-  it automatically, compiled straight from the schedule by
-  ``compile_schedule`` without even a recording run);
+  it unless asked to audit or a fault injector is attached, compiled
+  straight from the schedule by ``compile_schedule`` without even a
+  recording run);
 * :func:`repro.algorithms.total_exchange.run_total_exchange` (a fixed
   latin-square schedule, via ``execute_schedule``);
 * any fixed-schedule QSM phase program whose addresses don't depend on
@@ -51,14 +54,13 @@ reaction to faulted inboxes.
 from __future__ import annotations
 
 import time as _time
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.engine import DenseSharedMemory, Machine, RunResult
 from repro.core.events import RequestBatch, SuperstepRecord
-from repro.obs.metrics import active_metrics as _active_metrics
-from repro.obs.tracer import active_tracer as _active_tracer
+from repro.obs.instrument import observe_runs
 
 __all__ = ["CompiledProgram", "compile_program"]
 
@@ -138,33 +140,7 @@ class CompiledProgram:
         reproduces its ``RunResult`` bit-identically.
         """
         self._check_machine(machine)
-        tracer = _active_tracer()
-        mreg = _active_metrics()
-        observe = run_span = None
-        if tracer is not None or mreg is not None:
-            from repro.obs.instrument import make_superstep_observer
-
-            if tracer is not None:
-                run_span = tracer.begin(
-                    "replay", cat="engine", track="machine",
-                    machine=type(machine).__name__, p=self.p,
-                    m=machine.params.m, L=machine.params.L, g=machine.params.g,
-                )
-                run_span.model_start = tracer.model_clock
-            observe = make_superstep_observer(tracer, mreg, machine, self.p, run_span)
-        records: List[SuperstepRecord] = []
-        try:
-            self._replay_frames([machine], [records], observe)
-        finally:
-            if run_span is not None:
-                tracer.end(
-                    run_span,
-                    model_dur=tracer.model_clock - run_span.model_start,
-                    supersteps=len(records),
-                )
-        return RunResult(
-            params=machine.params, records=records, results=list(self.results)
-        )
+        return self._replay_frames([machine])[0]
 
     def _check_machine(self, machine: Machine) -> None:
         """Refuse a machine this recording cannot be replayed on."""
@@ -181,44 +157,64 @@ class CompiledProgram:
             )
         _check_no_injector(machine, "replay")
 
-    def _replay_frames(
-        self,
-        machines: Sequence[Machine],
-        records: Sequence[List[SuperstepRecord]],
-        observe: Optional[Callable] = None,
-    ) -> None:
+    def _replay_frames(self, machines: Sequence[Machine]) -> List[RunResult]:
         """The frame loop of :meth:`replay` and
         :func:`~repro.core.batched.replay_batch`: price every frame once
-        for all ``machines`` (one model class) and append machine ``b``'s
-        records to ``records[b]``.  ``observe`` (one machine only) gets
-        the trampoline's phase stamps: freeze (the frame is already
-        frozen) = t0..t1, price = t1..t2, deliver (write application) =
-        t2..end."""
+        for all ``machines`` (one model class) and return machine ``b``'s
+        result at index ``b``.
+
+        An observed pass only stamps each frame's phases — freeze (the
+        frame is already frozen) = t0..t1, price = t1..t2, deliver (write
+        application) = t2..t3 — then emits each machine's spans, metrics
+        and ledger rows as one block, machine by machine, from its records
+        and the shared stamps; frames priced before a raise are emitted
+        too.
+        """
+        obs = observe_runs("replay")
+        stamps: Optional[List[Tuple[float, ...]]] = None if obs is None else []
+        records: List[List[SuperstepRecord]] = [[] for _ in machines]
+        ledgers = [None] * len(machines)
         price = machines[0]._price_batch
-        for index, (work, msg_b, read_b, write_b) in enumerate(self.frames):
-            t0 = _time.perf_counter() if observe is not None else 0.0
-            # every machine's record aliases the same frozen batches, as
-            # separate replays of one compilation do
-            frame = [
-                SuperstepRecord(
-                    index=index,
-                    work=work,
-                    msg_batch=msg_b,
-                    read_batch=read_b,
-                    write_batch=write_b,
-                )
-                for _ in machines
-            ]
-            t1 = _time.perf_counter() if observe is not None else 0.0
-            for record, priced, out in zip(frame, price(machines, frame[0]), records):
-                record.cost, record.breakdown, record.stats = priced
-                out.append(record)
-            t2 = _time.perf_counter() if observe is not None else 0.0
-            if write_b.n:
-                for mach in machines:
-                    self._apply_writes(mach, write_b)
-            if observe is not None:
-                observe(frame[0], t0, t1, t2, _time.perf_counter())
+        try:
+            for index, (work, msg_b, read_b, write_b) in enumerate(self.frames):
+                t0 = _time.perf_counter() if stamps is not None else 0.0
+                # every machine's record aliases the same frozen batches,
+                # as separate replays of one compilation do
+                frame = [
+                    SuperstepRecord(
+                        index=index,
+                        work=work,
+                        msg_batch=msg_b,
+                        read_batch=read_b,
+                        write_batch=write_b,
+                    )
+                    for _ in machines
+                ]
+                t1 = _time.perf_counter() if stamps is not None else 0.0
+                for record, priced, out in zip(frame, price(machines, frame[0]), records):
+                    record.cost, record.breakdown, record.stats = priced
+                    out.append(record)
+                t2 = _time.perf_counter() if stamps is not None else 0.0
+                if write_b.n:
+                    for mach in machines:
+                        self._apply_writes(mach, write_b)
+                if stamps is not None:
+                    stamps.append((t0, t1, t2, _time.perf_counter()))
+        finally:
+            if obs is not None:
+                wall_start = stamps[0][0] if stamps else None
+                for b, (mach, recs) in enumerate(zip(machines, records)):
+                    observe = obs.begin(mach, self.p, wall_start)
+                    for record, stamp in zip(recs, stamps):
+                        observe(record, *stamp)
+                    ledgers[b] = obs.end(len(stamps))
+        return [
+            RunResult(
+                params=mach.params, records=recs, results=list(self.results),
+                ledger=ledger,
+            )
+            for mach, recs, ledger in zip(machines, records, ledgers)
+        ]
 
     @staticmethod
     def _apply_writes(machine: Machine, wb: RequestBatch) -> None:

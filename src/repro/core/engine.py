@@ -79,9 +79,7 @@ from repro.core.events import (
 )
 from repro.core.kernels import stable_group_order
 from repro.core.params import MachineParams
-from repro.obs.ledger import active_ledger as _active_ledger
-from repro.obs.metrics import active_metrics as _active_metrics
-from repro.obs.tracer import active_tracer as _active_tracer
+from repro.obs.instrument import observe_runs
 
 __all__ = [
     "ModelViolation",
@@ -1067,27 +1065,10 @@ class Machine:
             auditor = None
             if audit:
                 from repro.faults.audit import audit_record as auditor
-            # observability: one module-global read per run; spans/metrics
-            # only record already-priced costs, so model times stay
-            # bit-identical
-            tracer = _active_tracer()
-            mreg = _active_metrics()
-            ledger = _active_ledger()
-            observe = run_span = None
-            ledger_start = 0
-            if tracer is not None or mreg is not None or ledger is not None:
-                from repro.obs.instrument import make_superstep_observer
-
-                if tracer is not None:
-                    run_span = tracer.begin(
-                        "run", cat="engine", track="machine",
-                        machine=type(self).__name__, p=p,
-                        m=self.params.m, L=self.params.L, g=self.params.g,
-                    )
-                    run_span.model_start = tracer.model_clock
-                if ledger is not None:
-                    ledger_start = ledger.begin_run(type(self).__name__, self.params)
-                observe = make_superstep_observer(tracer, mreg, self, p, run_span, ledger=ledger)
+            # observability records only already-priced costs, so model
+            # times stay bit-identical
+            obs = observe_runs("trampoline")
+            observe = None if obs is None else obs.begin(self, p)
             try:
                 self._run_loop(
                     procs, gens, results, records, alive, p,
@@ -1095,17 +1076,11 @@ class Machine:
                     observe, arenas, deadline_reason,
                 )
             finally:
-                if run_span is not None:
-                    tracer.end(
-                        run_span,
-                        model_dur=tracer.model_clock - run_span.model_start,
-                        supersteps=len(records),
-                    )
+                ledger = None if obs is None else obs.end(len(records))
         finally:
             pool.append(arenas)
         return RunResult(
-            params=self.params, records=records, results=results,
-            ledger=ledger.view(ledger_start) if ledger is not None else None,
+            params=self.params, records=records, results=results, ledger=ledger
         )
 
     def _run_loop(

@@ -480,7 +480,7 @@ def pricing_ablation(
     m_values=(16, 24, 32, 48, 64, 96, 128, 192),
     L_values=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
     seed: int = 0, jobs: int = 1, on_error: str = "raise", backend: str = None,
-    batch: bool = None, include_telemetry: bool = False,
+    batch: bool = True, include_telemetry: bool = False,
 ) -> Dict[str, Any]:
     """Table-1-style pricing ablation of one recorded routing schedule.
 

@@ -453,24 +453,12 @@ def _profile_workloads() -> Dict[str, Callable[[], None]]:
     }
 
 
-#: ``--workload`` spellings accepted for compatibility with the docs
-_WORKLOAD_ALIASES = {"routing": "route", "qsm": "qsm-phases"}
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
 
     workloads = _profile_workloads()
-    name = args.workload_flag or args.workload
-    if name is None:
-        print(
-            "error: no workload selected (pass one positionally or via "
-            "--workload; \"list\" enumerates)",
-            file=sys.stderr,
-        )
-        return 2
-    name = _WORKLOAD_ALIASES.get(name, name)
+    name = args.workload
     if name == "list":
         for wname in workloads:
             print(wname)
@@ -1049,22 +1037,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument(
         "workload",
-        nargs="?",
-        default=None,
         choices=["route", "qsm-phases", "delivery", "schedule",
                  "algorithms", "dynamic", "batch", "list"],
-        help='workload to profile ("list" to enumerate)',
-    )
-    pr.add_argument(
-        "--workload",
-        dest="workload_flag",
-        default=None,
-        choices=["routing", "qsm", "algorithms", "dynamic", "batch"],
-        help="workload selector covering the vectorized hot paths "
-        "(routing = route, qsm = qsm-phases, algorithms = the "
+        help='workload to profile ("list" to enumerate): algorithms = the '
         "bench_algorithms_e2e profiles, dynamic = a 100k-interval "
         "run_dynamic horizon, batch = a B=64 batched replay of one "
-        "compiled routing program); wins over the positional",
+        "compiled routing program",
     )
     pr.add_argument(
         "--top", type=_positive_int, default=20,

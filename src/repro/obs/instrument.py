@@ -1,11 +1,17 @@
-"""Span/metric construction for the engine barrier — the slow-path half.
+"""Run observation for the engine barrier — the slow-path half.
 
-The engine keeps its hot loop free of observability logic: when (and only
-when) a tracer or registry is active it imports this module once per run
-and calls :func:`make_superstep_observer`, whose closure does all span and
-counter construction.  Nothing here is imported when observability is
-disabled, and nothing here feeds back into pricing — model time is read
-from the already-priced :class:`~repro.core.events.SuperstepRecord`.
+Both superstep drivers — the trampoline (:meth:`Machine.run`) and the
+compiled frame loop (:meth:`CompiledProgram.replay`,
+:func:`repro.core.batched.replay_batch`) — ask :func:`observe_runs` once
+per call.  It reads the three installed instruments (tracer, metrics
+registry, load ledger) and returns ``None`` when none is installed, so an
+unobserved run pays one call and never takes a different path.  An
+observed driver brackets each machine's run with
+:meth:`RunObservation.begin` / :meth:`RunObservation.end`, which open and
+close the ``run`` span (its ``path`` arg names the driver) and the ledger
+run, and feed every superstep to the observer ``begin`` returns.  Nothing
+here feeds back into pricing — model time is read from the already-priced
+:class:`~repro.core.events.SuperstepRecord`.
 
 Per-superstep output (tracer active):
 
@@ -27,10 +33,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Span, Tracer
+from repro.obs.ledger import LedgerView, LoadLedger, active_ledger
+from repro.obs.metrics import MetricsRegistry, active_metrics
+from repro.obs.tracer import Tracer, active_tracer
 
-__all__ = ["make_superstep_observer", "PROC_TRACK_LIMIT"]
+__all__ = ["observe_runs", "RunObservation", "PROC_TRACK_LIMIT"]
 
 #: Per-processor spans are emitted only up to this processor count — past
 #: it a trace viewer is unusable anyway and the span volume dominates.
@@ -79,74 +86,116 @@ def _superstep_args(record) -> dict:
     return args
 
 
-def make_superstep_observer(
-    tracer: Optional[Tracer],
-    metrics: Optional[MetricsRegistry],
-    machine,
-    p: int,
-    run_span: Optional[Span],
-    ledger=None,
-) -> Callable:
-    """Build the per-superstep callback the engine invokes at each barrier.
+class RunObservation:
+    """The instruments installed for one observed driver call.
 
-    The callback signature is ``observe(record, t_freeze, t_price,
-    t_deliver, t_end)`` where the ``t_*`` values are ``perf_counter``
-    stamps at each phase boundary (freeze = record assembly start).
-    ``ledger`` is
-    an optional :class:`~repro.obs.ledger.LoadLedger` recording one load
-    row per superstep from the already-priced record.
+    Each machine's run is a :meth:`begin` / :meth:`end` pair, so a batched
+    replay emits its machines' spans and ledger rows as contiguous blocks.
+    ``path`` (``"trampoline"`` or ``"replay"``) becomes the ``run`` span's
+    ``path`` arg.
     """
-    emit_procs = tracer is not None and p <= PROC_TRACK_LIMIT
 
-    def observe(record, t_freeze: float, t_price: float, t_deliver: float, t_end: float) -> None:
+    __slots__ = ("tracer", "metrics", "ledger", "path", "_span", "_ledger_start")
+
+    def __init__(self, tracer: Optional[Tracer], metrics: Optional[MetricsRegistry],
+                 ledger: Optional[LoadLedger], path: str) -> None:
+        self.tracer = tracer
+        self.metrics = metrics
+        self.ledger = ledger
+        self.path = path
+
+    def begin(self, machine, p: int, wall_start: Optional[float] = None) -> Callable:
+        """Open ``machine``'s run on ``p`` processors and return its
+        superstep observer, ``observe(record, t_freeze, t_price, t_deliver,
+        t_end)`` with ``perf_counter`` stamps at each phase boundary.
+        ``wall_start`` backdates the ``run`` span to the pass it observes
+        (a replay emits its spans after the pass)."""
+        tracer, metrics, ledger = self.tracer, self.metrics, self.ledger
+        run_span = None
         if tracer is not None:
-            model_start = tracer.model_clock
-            ss = tracer.add(
-                f"superstep {record.index}",
-                cat="superstep",
-                track="machine",
-                parent=run_span,
-                wall_start=t_freeze,
-                wall_dur=t_end - t_freeze,
-                model_start=model_start,
-                model_dur=record.cost,
-                args=_superstep_args(record),
+            params = machine.params
+            run_span = tracer.begin(
+                "run", cat="engine", track="machine", path=self.path,
+                machine=type(machine).__name__, p=p,
+                m=params.m, L=params.L, g=params.g,
             )
-            tracer.add("freeze", cat="phase", track="engine", parent=ss,
-                       wall_start=t_freeze, wall_dur=t_price - t_freeze)
-            tracer.add("price", cat="phase", track="engine", parent=ss,
-                       wall_start=t_price, wall_dur=t_deliver - t_price)
-            tracer.add("deliver", cat="phase", track="engine", parent=ss,
-                       wall_start=t_deliver, wall_dur=t_end - t_deliver)
-            if emit_procs:
-                sends = record.sends_by_proc(p)
-                recvs = record.recvs_by_proc(p)
-                work = record.work
-                for pid in range(p):
-                    w = float(work[pid]) if pid < len(work) else 0.0
-                    s, r = int(sends[pid]), int(recvs[pid])
-                    local = max(w, float(s), float(r))
-                    if local <= 0.0:
-                        continue  # idle processor: no span, keep traces lean
-                    tracer.add(
-                        f"s{record.index}",
-                        cat="proc",
-                        track=f"proc {pid}",
-                        parent=ss,
-                        model_start=model_start,
-                        model_dur=local,
-                        args={"work": w, "sent": s, "recv": r},
-                    )
-            tracer.model_clock = model_start + record.cost
+            run_span.model_start = tracer.model_clock
+            if wall_start is not None:
+                run_span.wall_start = wall_start
+        self._span = run_span
         if ledger is not None:
-            ledger.record(record, p)
-        if metrics is not None:
-            metrics.counter("engine.supersteps").inc()
-            metrics.counter("engine.messages").inc(record.n_messages)
-            metrics.counter("engine.flits").inc(record.total_flits)
-            metrics.counter("engine.reads").inc(record.n_reads)
-            metrics.counter("engine.writes").inc(record.n_writes)
-            metrics.counter("engine.model_time").inc(record.cost)
-            metrics.histogram("engine.superstep_cost").observe(record.cost)
+            self._ledger_start = ledger.begin_run(type(machine).__name__, machine.params)
+        emit_procs = tracer is not None and p <= PROC_TRACK_LIMIT
 
-    return observe
+        def observe(record, t_freeze: float, t_price: float, t_deliver: float, t_end: float) -> None:
+            if tracer is not None:
+                model_start = tracer.model_clock
+                ss = tracer.add(
+                    f"superstep {record.index}",
+                    cat="superstep",
+                    track="machine",
+                    parent=run_span,
+                    wall_start=t_freeze,
+                    wall_dur=t_end - t_freeze,
+                    model_start=model_start,
+                    model_dur=record.cost,
+                    args=_superstep_args(record),
+                )
+                tracer.add("freeze", cat="phase", track="engine", parent=ss,
+                           wall_start=t_freeze, wall_dur=t_price - t_freeze)
+                tracer.add("price", cat="phase", track="engine", parent=ss,
+                           wall_start=t_price, wall_dur=t_deliver - t_price)
+                tracer.add("deliver", cat="phase", track="engine", parent=ss,
+                           wall_start=t_deliver, wall_dur=t_end - t_deliver)
+                if emit_procs:
+                    sends = record.sends_by_proc(p)
+                    recvs = record.recvs_by_proc(p)
+                    work = record.work
+                    for pid in range(p):
+                        w = float(work[pid]) if pid < len(work) else 0.0
+                        s, r = int(sends[pid]), int(recvs[pid])
+                        local = max(w, float(s), float(r))
+                        if local <= 0.0:
+                            continue  # idle processor: no span, keep traces lean
+                        tracer.add(
+                            f"s{record.index}",
+                            cat="proc",
+                            track=f"proc {pid}",
+                            parent=ss,
+                            model_start=model_start,
+                            model_dur=local,
+                            args={"work": w, "sent": s, "recv": r},
+                        )
+                tracer.model_clock = model_start + record.cost
+            if ledger is not None:
+                ledger.record(record, p)
+            if metrics is not None:
+                metrics.counter("engine.supersteps").inc()
+                metrics.counter("engine.messages").inc(record.n_messages)
+                metrics.counter("engine.flits").inc(record.total_flits)
+                metrics.counter("engine.reads").inc(record.n_reads)
+                metrics.counter("engine.writes").inc(record.n_writes)
+                metrics.counter("engine.model_time").inc(record.cost)
+                metrics.histogram("engine.superstep_cost").observe(record.cost)
+
+        return observe
+
+    def end(self, supersteps: int) -> Optional[LedgerView]:
+        """Close the run span; return the run's ``RunResult.ledger`` view."""
+        span = self._span
+        if span is not None:
+            self.tracer.end(
+                span,
+                model_dur=self.tracer.model_clock - span.model_start,
+                supersteps=supersteps,
+            )
+        return None if self.ledger is None else self.ledger.view(self._ledger_start)
+
+
+def observe_runs(path: str) -> Optional[RunObservation]:
+    """The observation scope of one driver call, or ``None`` when no
+    tracer, metrics registry or load ledger is installed."""
+    tracer, metrics, ledger = active_tracer(), active_metrics(), active_ledger()
+    if tracer is None and metrics is None and ledger is None:
+        return None
+    return RunObservation(tracer, metrics, ledger, path)

@@ -23,19 +23,17 @@ objects anywhere.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from time import monotonic as _monotonic
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-
-from time import monotonic as _monotonic
 
 from repro.core.batched import replay_batch
 from repro.core.compiled import CompiledProgram
 from repro.core.engine import Machine, RunAborted, RunResult
 from repro.core.events import MessageBatch, RequestBatch
 from repro.core.kernels import stable_group_order
-from repro.obs.ledger import active_ledger
-from repro.obs.metrics import active_metrics
 from repro.obs.tracer import active_tracer
 from repro.scheduling.schedule import Schedule, expand_per_flit
 from repro.scheduling.static_send import unbalanced_send
@@ -133,9 +131,9 @@ def compile_schedule(sched: Schedule) -> CompiledProgram:
     :class:`~repro.core.compiled.CompiledProgram` replays bit-identically
     to the trampoline execution of ``_routing_program`` on any
     message-passing machine (pinned by ``tests/test_path_differential.py``);
-    :func:`execute_schedule` takes this path whenever nothing observes the
-    run, and :func:`repro.core.batched.replay_batch` prices one
-    compilation under a whole parameter batch.
+    :func:`execute_schedule` takes this path unless asked to audit or a
+    fault injector is attached, and :func:`repro.core.batched.replay_batch`
+    prices one compilation under a whole parameter batch.
     """
     batch, results = _schedule_frame(sched)
     frames = [
@@ -192,9 +190,11 @@ def execute_schedule(
 
     Raises :class:`AssertionError`-free :class:`ValueError` if any flit is
     lost or duplicated (this would be an engine bug — the check is the
-    library guarding its own invariants, not user error).  ``audit=True``
-    additionally runs every barrier through the invariant auditor
-    (:mod:`repro.faults.audit`).  ``deadline`` is an absolute
+    library guarding its own invariants, not user error).  The run
+    replays :func:`compile_schedule`'s program, observed or not; only
+    ``audit=True`` (every barrier through the invariant auditor,
+    :mod:`repro.faults.audit`) or an attached fault injector puts it on
+    the trampoline.  ``deadline`` is an absolute
     ``time.monotonic()`` timestamp (the serving path's per-request
     deadline) forwarded to :meth:`Machine.run`; an expired deadline raises
     :class:`~repro.core.engine.RunAborted` before superstep 0 on both the
@@ -208,49 +208,31 @@ def execute_schedule(
             f"machine has {machine.params.p} processors, relation needs {rel.p}"
         )
     tracer = active_tracer()
-    if (
-        not audit
-        and machine.fault_injector is None
-        and tracer is None
-        and active_metrics() is None
-        and active_ledger() is None
-    ):
-        # compiled-superstep fast path: the routing program is straight-
-        # line, so skip the trampoline entirely (see compile_schedule).
-        # Replay has no superstep loop to check mid-run, so the deadline
-        # gate is the same abort-before-superstep-0 check the trampoline
-        # performs.
-        if deadline is not None and _monotonic() > deadline:
-            raise RunAborted(
-                "run exceeded its absolute deadline at superstep 0",
-                partial=RunResult(params=machine.params, records=[],
-                                  results=[None] * rel.p),
-                superstep=0,
-                reason="deadline",
-            )
-        res = compile_schedule(sched).replay(machine)
-        _verify_delivery(res, rel, machine)
-        return res
-    plan = _flit_plan(sched)
-    if tracer is not None:
-        # context span for the engine's own `run` span: which relation and
-        # schedule this routing superstep came from
-        with tracer.span(
-            "execute_schedule", cat="scheduling", track="machine",
-            p=rel.p, flits=rel.n,
-        ):
+    # context span for the engine's own `run` span: which relation and
+    # schedule this routing superstep came from
+    context = nullcontext() if tracer is None else tracer.span(
+        "execute_schedule", cat="scheduling", track="machine", p=rel.p, flits=rel.n,
+    )
+    with context:
+        if audit or machine.fault_injector is not None:
             res = machine.run(
-                _routing_program, per_proc_args=plan, nprocs=rel.p, audit=audit,
-                deadline=deadline,
+                _routing_program, per_proc_args=_flit_plan(sched), nprocs=rel.p,
+                audit=audit, deadline=deadline,
             )
-    else:
-        res = machine.run(
-            _routing_program,
-            per_proc_args=plan,
-            nprocs=rel.p,
-            audit=audit,
-            deadline=deadline,
-        )
+        else:
+            # compiled path: the routing program is straight-line (see
+            # compile_schedule).  Replay has no superstep loop to check
+            # mid-run, so the deadline gate is the same abort-before-
+            # superstep-0 check the trampoline performs.
+            if deadline is not None and _monotonic() > deadline:
+                raise RunAborted(
+                    "run exceeded its absolute deadline at superstep 0",
+                    partial=RunResult(params=machine.params, records=[],
+                                      results=[None] * rel.p),
+                    superstep=0,
+                    reason="deadline",
+                )
+            res = compile_schedule(sched).replay(machine)
     _verify_delivery(res, rel, machine)
     return res
 

@@ -22,7 +22,6 @@ The structure (matching the bound term by term):
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence, Tuple
 
 from repro.core.engine import Machine, RunResult

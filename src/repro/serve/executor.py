@@ -44,10 +44,10 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.engine import RunAborted
-from repro.serve.admission import AdmissionController, Round
+from repro.serve.admission import AdmissionController
 from repro.serve.chaos import ChaosPlan
 from repro.serve.protocol import KINDS, Request, ServeError
 from repro.serve.telemetry import ServerMetrics

@@ -38,9 +38,6 @@ determinism guarantee regardless of backend:
   redistributes the rest.
 
 ``jobs=0`` / ``jobs=None`` auto-sizes to the machine's usable CPU count.
-``chunksize`` is accepted for backward compatibility and ignored: the
-work-stealing pool dispatches per task (chunking was a static guess at a
-cost distribution the queue now balances dynamically).
 """
 
 from __future__ import annotations
@@ -133,10 +130,9 @@ def _raise_trial_error(payload, cause=None):
 def run_sweep(
     spec: SweepSpec,
     jobs: Optional[int] = 1,
-    chunksize: Optional[int] = None,
     on_error: str = "raise",
     backend: Optional[str] = None,
-    batch: Optional[bool] = None,
+    batch: bool = True,
 ) -> Optional[SweepResult]:
     """Execute every trial of ``spec`` and return a :class:`SweepResult`.
 
@@ -164,11 +160,11 @@ def run_sweep(
     :class:`~repro.sweep.spec.BatchTask`), fingerprint-compatible trials
     are fused into single dispatch units that one worker executes in one
     vectorized pass — results stay bit-identical and in task order.
-    ``None`` (default) engages batching automatically whenever the trial
-    function supports it and no tracer/metrics/ledger is active (the
-    observability instruments are per-trial, so batching would blur their
-    attribution); ``False`` disables it.  A batch that fails is re-run
-    member-by-member so ``on_error`` accounting stays per trial.
+    ``True`` (default) engages batching whenever the trial function
+    supports it and no tracer/metrics/ledger is active (the observability
+    instruments are per-trial, so batching would blur their attribution);
+    ``False`` disables it.  A batch that fails is re-run member-by-member
+    so ``on_error`` accounting stays per trial.
     """
     jobs = resolve_jobs(jobs)
     mode, retries = parse_on_error(on_error)
@@ -189,7 +185,7 @@ def run_sweep(
         "amortization": 1.0,
         "fallbacks": 0,
     }
-    if batch is not False and tracer is None and mreg is None and ledger is None:
+    if batch and tracer is None and mreg is None and ledger is None:
         dispatch, fused = group_batch_tasks(tasks)
         if fused:
             batch_stats.update(

@@ -40,7 +40,7 @@ from repro import (
 )
 from repro.core.arena import RequestArena, SendArena
 from repro.core.batched import replay_batch
-from repro.core.compiled import CompiledProgram, compile_program
+from repro.core.compiled import compile_program
 from repro.core.kernels import (
     _COMBINED_SORT_LIMIT,
     slot_charge_stats_batched,
@@ -491,7 +491,7 @@ class TestSweepBatching:
 
     def test_default_engages_automatically(self):
         spec = SweepSpec(name="b", fn=_cell, grid=_GRID, seed=5)
-        res = run_sweep(spec, jobs=1)  # batch=None
+        res = run_sweep(spec, jobs=1)
         assert res.batch_stats["enabled"] is True
 
     def test_pool_identity(self):

@@ -18,6 +18,13 @@ and the h-relation routing program through
 bit-identical :class:`RunResult` values: model time, per-superstep costs,
 breakdowns, stats (values and key order), frozen record columns, results
 and final shared memory.
+
+Every path also runs under a :class:`Tracer`, a :class:`MetricsRegistry`
+and a :class:`LoadLedger` at once: the observed result must equal the
+unobserved one, and the ledger dump, the metrics dump, each
+``RunResult.ledger`` view and the superstep spans must be identical on
+every path — observing a run neither changes it nor depends on which
+path ran it.
 """
 
 from __future__ import annotations
@@ -46,6 +53,15 @@ from repro import (
 from repro.core.batched import replay_batch
 from repro.core.compiled import CompiledProgram
 from repro.core.engine import BatchReadHandle
+from repro.experiments import pricing_ablation
+from repro.obs import (
+    LoadLedger,
+    MetricsRegistry,
+    Tracer,
+    ledger_scope,
+    metrics_scope,
+    tracing,
+)
 from repro.scheduling import unbalanced_send
 from repro.scheduling.execute import (
     _flit_plan,
@@ -236,6 +252,66 @@ def _fingerprint(res, mach):
     )
 
 
+def _view_rows(view):
+    """Every column of one ``RunResult.ledger`` window."""
+    return (
+        {name: view.column(name) for name in view.ledger.columns},
+        {name: view.proc_column(name) for name in view.ledger.proc_columns},
+    )
+
+
+def _observed(run, path):
+    """``run()`` under a fresh tracer, metrics registry and load ledger.
+
+    Returns its results and what the three instruments saw: the ledger
+    and metrics dumps, each result's ledger view, and the run, superstep
+    and per-processor spans (the run span's ``path`` arg, checked to be
+    ``path``, aside).
+    """
+    tracer, registry, book = Tracer(), MetricsRegistry(), LoadLedger()
+    with tracing(tracer), metrics_scope(registry), ledger_scope(book):
+        results = run()
+    spans = []
+    for span in tracer.spans:
+        if span.cat == "engine":
+            assert span.name == "run"
+            args = dict(span.args)
+            assert args.pop("path") == path
+        elif span.cat in ("superstep", "proc"):
+            args = span.args
+            assert tracer.spans[span.parent].cat in ("engine", "superstep")
+        else:
+            continue
+        spans.append((span.name, span.cat, span.track, args,
+                      span.model_start, span.model_dur))
+    seen = (
+        book.to_dict(),
+        registry.to_dict(),
+        [_view_rows(res.ledger) for res in results],
+        spans,
+    )
+    return results, seen
+
+
+def _check_paths(make, reference, paths, points=POINTS):
+    """Run every ``(path name, run)`` of ``paths`` on the first and on all
+    three ``points`` (``make`` builds their machines), unobserved and
+    observed; ``reference`` holds the trampoline's fingerprint per point."""
+    for batch in (points[:1], points):
+        want = reference[: len(batch)]
+        seen = []
+        for path, run in paths:
+            machines = make(batch)
+            assert [_fingerprint(r, m) for r, m in zip(run(machines), machines)] == want
+            machines = make(batch)
+            results, observed = _observed(lambda: run(machines), path)
+            assert [_fingerprint(r, m) for r, m in zip(results, machines)] == want
+            seen.append(observed)
+        assert seen[0][3], "the observed runs emitted no superstep spans"
+        for observed in seen[1:]:
+            assert observed == seen[0]
+
+
 def _check_all_paths(cls, penalty, spec):
     p, steps, work = spec
     args = (p, steps, work)
@@ -249,16 +325,15 @@ def _check_all_paths(cls, penalty, spec):
     compiled, recorded = CompiledProgram.record(rec_mach, program, args=args)
     assert _fingerprint(recorded, rec_mach) == reference[0]
 
-    mach = _machine(cls, penalty, p)
-    assert _fingerprint(compiled.replay(mach), mach) == reference[0]
-
-    mach = _machine(cls, penalty, p)
-    (single,) = replay_batch(compiled, [mach])
-    assert _fingerprint(single, mach) == reference[0]
-
-    machines = [_machine(cls, penalty, p, point) for point in POINTS]
-    batch = replay_batch(compiled, machines)
-    assert [_fingerprint(r, m) for r, m in zip(batch, machines)] == reference
+    _check_paths(
+        lambda points: [_machine(cls, penalty, p, point) for point in points],
+        reference,
+        [
+            ("trampoline", lambda ms: [m.run(program, args=args) for m in ms]),
+            ("replay", lambda ms: [compiled.replay(m) for m in ms]),
+            ("replay", lambda ms: replay_batch(compiled, ms)),
+        ],
+    )
 
 
 @pytest.mark.parametrize(
@@ -332,6 +407,37 @@ def test_logp_capacity_raises_on_every_path():
         replay_batch(compiled, [LogP(params, enforce_capacity=False), LogP(params)])
 
 
+def _ring_then_flood(ctx):
+    ctx.send((ctx.pid + 1) % ctx.nprocs, ctx.pid)
+    yield
+    yield from _flood(ctx)
+
+
+def test_observed_raise_keeps_what_was_priced():
+    """A run refused at superstep 1 still books superstep 0 and closes its
+    run span, on every path; a batch books superstep 0 per machine."""
+    params = MachineParams(p=4, g=2.0, L=1.0)
+    compiled = CompiledProgram.record(
+        LogP(params, enforce_capacity=False), _ring_then_flood
+    )[0]
+    paths = [
+        ("trampoline", lambda: [LogP(params).run(_ring_then_flood)]),
+        ("replay", lambda: [compiled.replay(LogP(params))]),
+        ("replay", lambda: replay_batch(compiled, [LogP(params), LogP(params)])),
+    ]
+    for (path, run), machines in zip(paths, (1, 1, 2)):
+        tracer, book = Tracer(), LoadLedger()
+        with tracing(tracer), ledger_scope(book):
+            with pytest.raises(ModelViolation, match="LOGP capacity"):
+                run()
+        assert book.columns["step"] == [0] * machines
+        runs = tracer.find(cat="engine", name="run")
+        assert [s.args["path"] for s in runs] == [path] * machines
+        assert all(s.wall_dur is not None and s.args["supersteps"] == 1 for s in runs)
+        assert len(tracer.find(cat="superstep")) == machines
+        assert not tracer._stack
+
+
 @pytest.mark.parametrize("penalty", list(PENALTIES))
 @settings(max_examples=15, deadline=None)
 @given(
@@ -343,14 +449,46 @@ def test_logp_capacity_raises_on_every_path():
 def test_routing_compiled_matches_trampoline(penalty, p, n, m, seed):
     rel = uniform_random_relation(p, n, seed=seed)
     sched = unbalanced_send(rel, m, 0.2, seed=seed + 1)
+    compiled = compile_schedule(sched)
+    plan = _flit_plan(sched)
+    # the first machine's m is the schedule's; the others over- and
+    # under-provision it
+    points = ((1.0, 1.0, m), (5.0, 1.5, 2 * m), (16.0, 4.0, max(1, m // 2)))
 
-    def mach():
-        return BSPm(MachineParams(p=p, m=m, L=1.0), penalty=PENALTIES[penalty])
+    def make(batch):
+        return [
+            BSPm(MachineParams(p=p, g=g, m=m_, L=L), penalty=PENALTIES[penalty])
+            for L, g, m_ in batch
+        ]
 
-    direct = mach()
-    replayed = compile_schedule(sched).replay(direct)
-    tramp = mach()
-    ran = tramp.run(_routing_program, per_proc_args=_flit_plan(sched))
-    assert _fingerprint(replayed, direct) == _fingerprint(ran, tramp)
-    routed = mach()
-    assert _fingerprint(execute_schedule(routed, sched), routed) == _fingerprint(ran, tramp)
+    reference = []
+    for mach in make(points):
+        reference.append(_fingerprint(mach.run(_routing_program, per_proc_args=plan), mach))
+    _check_paths(
+        make,
+        reference,
+        [
+            ("trampoline",
+             lambda ms: [m.run(_routing_program, per_proc_args=plan) for m in ms]),
+            ("replay", lambda ms: [compiled.replay(m) for m in ms]),
+            ("replay", lambda ms: replay_batch(compiled, ms)),
+            ("replay", lambda ms: [execute_schedule(m, sched) for m in ms]),
+        ],
+        points,
+    )
+
+
+def test_observed_pricing_ablation_writes_one_row_per_cell():
+    """An observed sweep replays each of its 64 cells and books one
+    ledger row per cell; the rows reconcile with the cells' model times."""
+    with ledger_scope() as book:
+        out = pricing_ablation(
+            p=32, n=2_000, schedule_m=8,
+            m_values=(2, 3, 4, 6, 8, 12, 16, 24),
+            L_values=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0),
+            seed=3,
+        )
+    cells = out["cells"]
+    assert len(cells) == len(book) == 64
+    assert book.total_charge() == sum(cell["model_time"] for cell in cells)
+    assert book.columns["charge"] == [cell["model_time"] for cell in cells]

@@ -1,6 +1,8 @@
 """Tests for the randomized CRCW h-relation realization (§4.1, randomized
 conversion)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from repro.algorithms import (
     realize_h_relation_crcw,
     realize_h_relation_crcw_randomized,
 )
+from repro.algorithms.h_relation import CRCW_DELIVERY_FAILURE_BUDGET
 from repro.workloads import all_to_one_relation, uniform_random_relation
 
 
@@ -41,11 +44,24 @@ class TestRandomizedRealization:
         rel = all_to_one_relation(16)  # h = 15
         res, _ = realize_h_relation_crcw_randomized(rel, c=4, seed=4)
         h = rel.y_bar
-        import math
-
-        max_rounds = 4 * (int(math.log2(rel.n + 1)) + 1) + 8
+        max_rounds = math.ceil(
+            math.log(rel.n / CRCW_DELIVERY_FAILURE_BUDGET) / math.log(4)
+        )
         bound = 3 * max_rounds + 4 * h + 4  # 3 phases/round + bucket scan
         assert res.time <= bound
+
+    @pytest.mark.parametrize("c", [2, 4])
+    def test_default_cap_never_fails_on_a_sweep(self, c):
+        """The budget-derived cap lands every message on a p x seed sweep,
+        at the bucket factor's minimum and at its default."""
+        for p in range(2, 17):
+            for seed in range(12):
+                for rel in (uniform_random_relation(p, 3 * p, seed=seed),
+                            all_to_one_relation(p)):
+                    _, delivered = realize_h_relation_crcw_randomized(
+                        rel, c=c, seed=seed
+                    )
+                    check_delivery(rel, delivered)
 
     def test_small_c_rejected(self):
         rel = uniform_random_relation(4, 8, seed=5)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import errno
 import os
-import pickle
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.store import (
     wipe_store,
 )
 from repro.store.disk import (
-    _ENTRIES_DIR,
     _SUFFIX,
     _TMP_PREFIX,
     _encode_entry,
